@@ -13,7 +13,7 @@ from .benchmarks import (
 )
 from .baselines import CgaConfig, DeConfig, PsoConfig, run_cga, run_de, run_pso
 from .engine import DpseaParams, PseudoPopulation, run
-from .ga import GaParams, Individual
+from .ga import GaParams
 from .regression import ModelKind, RegressionModel, fit, predict, select_kind
 from .results import CycleRecord, RunResult
 from .stochastics import Budget, RngState, gaussian, resampled_fitness
@@ -37,7 +37,6 @@ __all__ = [
     "PseudoPopulation",
     "run",
     "GaParams",
-    "Individual",
     "ModelKind",
     "RegressionModel",
     "fit",

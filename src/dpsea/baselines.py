@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import benchmarks
-from .ga import GaParams, Individual, evolve_generation
+from .ga import GaParams, evolve_generation
 from .results import CycleRecord, RunResult
 from .stochastics import Budget, resample_many
 
@@ -96,25 +96,20 @@ def run_cga(fn, noise, cfg, rng):
 
     genomes = rng.uniform(lo, hi, (cfg.ga.pop_size, fn.dimension))
     vals = resample_many(fn, genomes, cfg.rs, noise, rng, budget)
-    pop = [
-        Individual(genomes[i], float(vals[i]), sampled=True)
-        for i in range(cfg.ga.pop_size)
-    ]
     tracker.update(genomes)
 
     trace = [CycleRecord(0, budget.total_eval, tracker.best_fitness)]
     for it in range(1, total_it):
-        pop = evolve_generation(
-            pop,
-            fitness=None,
-            params=cfg.ga,
-            rng=rng,
-            bounds=fn.bounds,
-            fitness_batch=lambda xs: resample_many(fn, xs, cfg.rs, noise, rng, budget),
-            sampled=True,
+        genomes, vals, _ = evolve_generation(
+            genomes,
+            vals,
+            cfg.ga,
+            rng,
+            fn.bounds,
+            lambda xs: resample_many(fn, xs, cfg.rs, noise, rng, budget),
         )
         budget.skip(cfg.ga.n_elites * cfg.rs)
-        tracker.update(np.stack([m.genome for m in pop[cfg.ga.n_elites :]]))
+        tracker.update(genomes[cfg.ga.n_elites :])
         trace.append(CycleRecord(it, budget.total_eval, tracker.best_fitness))
     return RunResult(tracker.best_genome, tracker.best_fitness, budget, trace)
 

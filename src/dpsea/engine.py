@@ -9,6 +9,11 @@ model's leave-one-out fidelity earns. At each switching step the clusters
 merge back, true fitness is resampled, and the population re-dissolves.
 Clusters that stay non-eligible for too many consecutive cycles are
 replaced by fresh random individuals.
+
+The population is a ``ga.Population`` of arrays. Each cluster holds its
+members as a ``Population`` of its own (rows copied from the dissolved
+population, listed in ``rows``) and its regression archive as an
+``(xs, ys)`` pair of arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import benchmarks, regression
-from .ga import GaParams, Individual, evolve_generation
+from .ga import GaParams, Population
 from .regression import ModelKind, RegressionModel
 from .results import CycleRecord, RunResult
 from .stochastics import Budget, resample_many
@@ -43,20 +48,26 @@ __all__ = [
 class PseudoPopulation:
     """A self-organized cluster acting as distributed memory for one region.
 
-    ``archive`` holds (genome, fitness) pairs whose fitness came from
-    actual resampled evaluation at the latest switching step; regression
-    models are fitted on it, never on estimated values. ``fidelity`` is
-    the model's leave-one-out rank correlation on that archive.
+    ``members`` are copies of the ``rows`` of the dissolved population,
+    ``seed_index`` among them. ``archive`` is an ``(xs, ys)`` pair of
+    genomes ``(m, D)`` and fitness ``(m,)`` that came from actual resampled
+    evaluation at the latest switching step; regression models are fitted
+    on it, never on estimated values. ``fidelity`` is the model's
+    leave-one-out rank correlation on that archive.
     """
 
-    members: list[Individual]
+    members: Population
+    rows: np.ndarray
     seed_index: int
-    centroid: np.ndarray
+    archive: tuple[np.ndarray, np.ndarray]
     eligible: bool = False
     staleness: int = 0
     model: RegressionModel | None = None
-    archive: list[tuple[np.ndarray, float]] = field(default_factory=list)
     fidelity: float = 0.0
+
+    @property
+    def centroid(self):
+        return self.members.genomes.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -109,69 +120,56 @@ def self_organize(pop, fn, params, samples=None):
     The best unassigned individual seeds a new cluster (up to
     ``max_clusters``) and captures every unassigned individual within
     ``radius_fraction`` of the domain diagonal; leftovers then join the
-    nearest seed. Archives hold actually-evaluated (genome, fitness)
-    pairs: the members' own sampled fitness, or, when ``samples`` is
-    given as an ``(xs, ys)`` pool of true-fitness observations from the
-    current switching step, each observation assigned to its nearest seed.
+    nearest seed (ties to the lower seed index). Members keep population
+    order. Archives hold actually-evaluated (genome, fitness) pairs: the
+    members' own sampled fitness, or, when ``samples`` is given as an
+    ``(xs, ys)`` pool of true-fitness observations from the current
+    switching step, each observation assigned to its nearest seed (ties to
+    the earlier cluster).
     """
-    if not pop:
-        raise ValueError("cannot organize an empty population")
-    genomes = np.stack([ind.genome for ind in pop])
-    fits = np.array([ind.fitness_est for ind in pop])
     n = len(pop)
+    if n == 0:
+        raise ValueError("cannot organize an empty population")
+    genomes = pop.genomes
     radius = params.radius_fraction * _domain_diagonal(fn)
 
-    assigned = np.zeros(n, dtype=bool)
-    order = np.argsort(fits, kind="stable")
-    seeds = []          # population indices of cluster seeds
-    membership = []     # list of member-index lists, one per cluster
-
-    for i in order:
-        i = int(i)
-        if assigned[i]:
-            continue
-        if len(seeds) == params.max_clusters:
+    label = np.full(n, -1)  # cluster of each individual, -1 unassigned
+    order = np.argsort(pop.fitness, kind="stable")
+    seeds = []
+    while len(seeds) < params.max_clusters:
+        free = order[label[order] < 0]
+        if free.size == 0:
             break
+        i = int(free[0])
         dist = np.linalg.norm(genomes - genomes[i], axis=1)
-        take = np.flatnonzero(~assigned & (dist <= radius))
-        assigned[take] = True
+        label[(label < 0) & (dist <= radius)] = len(seeds)
         seeds.append(i)
-        membership.append(sorted(take.tolist()))
+    seeds = np.array(seeds)
 
-    leftover = np.flatnonzero(~assigned)
+    leftover = np.flatnonzero(label < 0)
     if leftover.size:
-        seed_genomes = genomes[seeds]
+        by_index = np.argsort(seeds)
         dists = np.linalg.norm(
-            genomes[leftover][:, None, :] - seed_genomes[None, :, :], axis=2
+            genomes[leftover][:, None, :] - genomes[seeds[by_index]][None, :, :],
+            axis=2,
         )
-        for row, i in enumerate(leftover):
-            d = dists[row]
-            best = min(range(len(seeds)), key=lambda j: (d[j], seeds[j]))
-            membership[best].append(int(i))
-        membership = [sorted(m) for m in membership]
-
-    clusters = []
-    for seed, member_idx in zip(seeds, membership):
-        members = [pop[i] for i in member_idx]
-        centroid = genomes[member_idx].mean(axis=0)
-        archive = [(m.genome, m.fitness_est) for m in members if m.sampled]
-        clusters.append(
-            PseudoPopulation(members, seed_index=seed, centroid=centroid, archive=archive)
-        )
+        label[leftover] = by_index[np.argmin(dists, axis=1)]
 
     if samples is not None:
-        xs, ys = samples
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        seed_genomes = genomes[seeds]
-        dists = np.linalg.norm(
-            xs[:, None, :] - seed_genomes[None, :, :], axis=2
-        )
+        xs, ys = (np.asarray(v, dtype=np.float64) for v in samples)
+        dists = np.linalg.norm(xs[:, None, :] - genomes[seeds][None, :, :], axis=2)
         nearest = np.argmin(dists, axis=1)
-        for c in clusters:
-            c.archive = []
-        for row, j in enumerate(nearest):
-            clusters[int(j)].archive.append((xs[row], float(ys[row])))
+
+    clusters = []
+    for k, seed in enumerate(seeds.tolist()):
+        rows = np.flatnonzero(label == k)
+        members = pop.take(rows)
+        if samples is None:
+            sampled = members.sampled
+            archive = (members.genomes[sampled], members.fitness[sampled])
+        else:
+            archive = (xs[nearest == k], ys[nearest == k])
+        clusters.append(PseudoPopulation(members, rows, seed, archive))
     return clusters
 
 
@@ -187,19 +185,17 @@ def assess_eligibility(clusters, params):
     n = len(clusters)
     if n == 0:
         return clusters
-    best = [min(m.fitness_est for m in c.members) for c in clusters]
+    best = [c.members.fitness.min() for c in clusters]
     ranking = sorted(range(n), key=lambda i: (best[i], clusters[i].seed_index))
     top = set(ranking[: math.ceil(params.kappa * n)])
     for i, c in enumerate(clusters):
-        c.eligible = i in top and len(c.members) >= params.s_min
+        m = c.members
+        c.eligible = i in top and len(m) >= params.s_min
         if c.eligible:
-            for m in c.members:
-                m.stale_cycles = 0
-            c.staleness = 0
+            m.stale_cycles[:] = 0
         else:
-            for m in c.members:
-                m.stale_cycles = min(m.stale_cycles + 1, params.staleness_limit)
-            c.staleness = min(m.stale_cycles for m in c.members)
+            np.minimum(m.stale_cycles + 1, params.staleness_limit, out=m.stale_cycles)
+        c.staleness = int(m.stale_cycles.min())
     return clusters
 
 
@@ -220,19 +216,6 @@ def adaptive_mutation_rate(rank_fraction, cluster_size, params):
     return float(rate) if rate.ndim == 0 else rate
 
 
-def _constant_model(members):
-    genomes = np.stack([m.genome for m in members])
-    mean = float(np.mean([m.fitness_est for m in members]))
-    d = genomes.shape[1]
-    return RegressionModel(
-        ModelKind.CONSTANT,
-        np.array([mean]),
-        0.0,
-        genomes.mean(axis=0),
-        np.ones(d),
-    )
-
-
 def fit_surrogate(cluster, fn, params):
     """Fit the cluster's model on its archive and rate how well it ranks.
 
@@ -241,19 +224,19 @@ def fit_surrogate(cluster, fn, params):
     one-out rank correlation of the fit on the archive, 0 when there is
     no archive to check it on.
     """
-    if not cluster.archive:
-        cluster.model = _constant_model(cluster.members)
+    xs, ys = cluster.archive
+    if len(ys) == 0:
+        m = cluster.members
+        cluster.model = regression.fit(m.genomes, m.fitness, ModelKind.CONSTANT)
         cluster.fidelity = 0.0
         return cluster
-    xs = np.stack([g for g, _ in cluster.archive])
-    ys = np.array([y for _, y in cluster.archive])
     kind = regression.select_kind(
         len(ys), fn.dimension, params.quadratic_min_samples_factor
     )
-    cluster.model = regression.fit(xs, ys, kind, params.regression_lambda)
-    cluster.fidelity = regression.loo_rank_correlation(
-        xs, ys, kind, params.regression_lambda
-    )
+    basis = regression.design_matrix(xs, kind)
+    lam = params.regression_lambda
+    cluster.model = regression.fit(xs, ys, kind, lam, basis=basis)
+    cluster.fidelity = regression.loo_rank_correlation(xs, ys, kind, lam, basis=basis)
     return cluster
 
 
@@ -280,93 +263,84 @@ def evolve_pseudo(cluster, fn, params, rng):
     mutate; the step itself is the absolute ``sqrt(ga.sigma_m)`` of
     ``GaParams``, not scaled to the domain or the cluster. Consumes zero
     true evaluations; within-cluster elitism keeps the current best member
-    by ``fitness_est``, which mixes measured and estimated values.
+    by fitness, which mixes measured and estimated values. Offspring are
+    not ``sampled``.
     """
     if not cluster.eligible:
         raise ValueError("only eligible pseudo-populations may evolve")
-    size = len(cluster.members)
+    members = cluster.members
+    size = len(members)
 
     if cluster.model is None:
         fit_surrogate(cluster, fn, params)
     model = cluster.model
 
-    fits = np.array([m.fitness_est for m in cluster.members])
-    order = np.argsort(fits, kind="stable")
+    order = np.argsort(members.fitness, kind="stable")
     fracs = np.arange(size) / (size - 1) if size > 1 else np.zeros(1)
     rates = np.empty(size)
     rates[order] = adaptive_mutation_rate(fracs, size, params)
 
     n_elites = min(params.ga.n_elites, size - 1) if size > 1 else 0
     local = replace(params.ga, pop_size=size, n_elites=n_elites)
-    cluster.members = evolve_generation(
-        cluster.members,
-        fitness=lambda g: regression.predict(model, g),
-        params=local,
-        rng=rng,
-        bounds=fn.bounds,
-        mutation_rates=rates,
-        fitness_batch=lambda xs: regression.predict_many(model, xs),
+    cluster.members = members.evolve(
+        local,
+        rng,
+        fn.bounds,
+        lambda xs: regression.predict_many(model, xs),
         sampled=False,
+        mutation_rates=rates,
     )
-    cluster.centroid = np.array([m.genome for m in cluster.members]).mean(axis=0)
     return cluster
 
 
 def _random_individuals(fn, count, rng):
     genomes = rng.uniform(fn.lower_bound, fn.upper_bound, (count, fn.dimension))
-    return [Individual(genomes[i]) for i in range(count)]
+    return Population.new(genomes, np.full(count, math.nan), sampled=False)
+
+
+def _is_stale(cluster, params):
+    return cluster.staleness >= params.staleness_limit
 
 
 def merge_and_resample(clusters, fn, noise, rs_merge, rng, budget, params):
     """Regain the main population and refresh fitness with true resampling.
 
     Clusters that hit the staleness limit are replaced wholesale by fresh
-    uniform-random individuals; the rest contribute their members as-is.
-    Every member is then scored by resampled true fitness except elites
-    whose genome is unchanged since their last actual evaluation
-    (``unchanged and sampled``), which keep their fitness and accrue
-    ``total_unchanged``.
+    uniform-random individuals; the rest contribute their members as-is,
+    cluster by cluster. Every member is then scored by resampled true
+    fitness except the ``exempt`` elites (``unchanged and sampled``), which
+    keep their fitness and accrue ``total_unchanged``.
     """
-    members = []
-    for c in clusters:
-        if c.staleness >= params.staleness_limit:
-            members.extend(_random_individuals(fn, len(c.members), rng))
-        else:
-            members.extend(c.members)
-    if len(members) < params.ga.pop_size:
-        members.extend(
-            _random_individuals(fn, params.ga.pop_size - len(members), rng)
-        )
-    if len(members) > params.ga.pop_size:
+    parts = [
+        _random_individuals(fn, len(c.members), rng) if _is_stale(c, params)
+        else c.members
+        for c in clusters
+    ]
+    n = sum(len(p) for p in parts)
+    if n < params.ga.pop_size:
+        parts.append(_random_individuals(fn, params.ga.pop_size - n, rng))
+    if n > params.ga.pop_size:
         raise ValueError("clusters hold more members than the population size")
+    pop = Population.concat(parts)
 
-    to_eval = [i for i, m in enumerate(members) if not (m.unchanged and m.sampled)]
-    budget.skip((len(members) - len(to_eval)) * rs_merge)
-    if to_eval:
-        xs = np.stack([members[i].genome for i in to_eval])
-        vals = resample_many(fn, xs, rs_merge, noise, rng, budget)
-        for j, i in enumerate(to_eval):
-            m = members[i]
-            m.fitness_est = float(vals[j])
-            m.sampled = True
-            m.unchanged = False
-    return members
+    to_eval = np.flatnonzero(~pop.exempt)
+    budget.skip((len(pop) - len(to_eval)) * rs_merge)
+    if len(to_eval):
+        pop.fitness[to_eval] = resample_many(
+            fn, pop.genomes[to_eval], rs_merge, noise, rng, budget
+        )
+        pop.sampled[to_eval] = True
+        pop.unchanged[to_eval] = False
+    return pop
 
 
 def _merge_eval_count(clusters, params):
     """Evaluations the next merge will charge (exempt elites excluded)."""
-    count = 0
-    total = 0
-    for c in clusters:
-        total += len(c.members)
-        if c.staleness >= params.staleness_limit:
-            count += len(c.members)
-        else:
-            count += sum(
-                1 for m in c.members if not (m.unchanged and m.sampled)
-            )
-    count += max(0, params.ga.pop_size - total)
-    return count
+    total = sum(len(c.members) for c in clusters)
+    exempt = sum(
+        int(c.members.exempt.sum()) for c in clusters if not _is_stale(c, params)
+    )
+    return max(total, params.ga.pop_size) - exempt
 
 
 def initial_design(fn, noise, params, rng, budget):
@@ -418,11 +392,7 @@ def run(fn, noise, params, rng, budget=None):
 
     design_x, design_y = initial_design(fn, noise, params, rng, budget)
     keep = np.argsort(design_y, kind="stable")[: params.ga.pop_size]
-    genomes, vals = design_x[keep], design_y[keep]
-    pop = [
-        Individual(genomes[i], float(vals[i]), sampled=True)
-        for i in range(params.ga.pop_size)
-    ]
+    pop = Population.new(design_x[keep], design_y[keep], sampled=True)
 
     true_vals = benchmarks.evaluate_many(fn, design_x)
     best_i = int(np.argmin(true_vals))
@@ -431,9 +401,6 @@ def run(fn, noise, params, rng, budget=None):
 
     def track(xs):
         nonlocal best_genome, best_fitness
-        if len(xs) == 0:
-            return
-        xs = np.stack(xs)
         tv = benchmarks.evaluate_many(fn, xs)
         i = int(np.argmin(tv))
         if tv[i] < best_fitness:
@@ -442,29 +409,27 @@ def run(fn, noise, params, rng, budget=None):
 
     # pool of (genome, resampled fitness) observations gathered since the
     # last dissolve; becomes the clusters' regression archives
-    pool_x = [genomes]
-    pool_y = [vals]
+    pool_x = [pop.genomes]
+    pool_y = [pop.fitness]
 
     trace = []
     cycle = 0
     cap = params.max_total_eval
-    main_cost = (params.ga.pop_size - params.ga.n_elites) * rs
+    n_elites = params.ga.n_elites
+    main_cost = (params.ga.pop_size - n_elites) * rs
     while budget.total_eval + main_cost <= cap:
         # main-population generation on resampled true fitness
-        pop = evolve_generation(
-            pop,
-            fitness=None,
-            params=params.ga,
-            rng=rng,
-            bounds=fn.bounds,
-            fitness_batch=lambda xs: resample_many(fn, xs, rs, noise, rng, budget),
+        pop = pop.evolve(
+            params.ga,
+            rng,
+            fn.bounds,
+            lambda xs: resample_many(fn, xs, rs, noise, rng, budget),
             sampled=True,
         )
-        budget.skip(params.ga.n_elites * rs)
-        offspring = pop[params.ga.n_elites :]
-        track([m.genome for m in offspring])
-        pool_x.append(np.stack([m.genome for m in offspring]))
-        pool_y.append(np.array([m.fitness_est for m in offspring]))
+        budget.skip(n_elites * rs)
+        track(pop.genomes[n_elites:])
+        pool_x.append(pop.genomes[n_elites:])
+        pool_y.append(pop.fitness[n_elites:])
 
         samples = (np.concatenate(pool_x), np.concatenate(pool_y))
         clusters = self_organize(pop, fn, params, samples=samples)
@@ -480,19 +445,12 @@ def run(fn, noise, params, rng, budget=None):
                 if g < n:
                     evolve_pseudo(c, fn, params, rng)
 
-        merge_cost = rs * _merge_eval_count(clusters, params)
-        if budget.total_eval + merge_cost > cap:
-            trace.append(
-                CycleRecord(
-                    cycle, budget.total_eval, best_fitness,
-                    len(clusters), sum(1 for c in clusters if c.eligible),
-                )
-            )
-            break
-        pop = merge_and_resample(clusters, fn, noise, rs, rng, budget, params)
-        track([m.genome for m in pop])
-        pool_x.append(np.stack([m.genome for m in pop]))
-        pool_y.append(np.array([m.fitness_est for m in pop]))
+        merges = budget.total_eval + rs * _merge_eval_count(clusters, params) <= cap
+        if merges:
+            pop = merge_and_resample(clusters, fn, noise, rs, rng, budget, params)
+            track(pop.genomes)
+            pool_x.append(pop.genomes)
+            pool_y.append(pop.fitness)
         trace.append(
             CycleRecord(
                 cycle,
@@ -502,6 +460,8 @@ def run(fn, noise, params, rng, budget=None):
                 sum(1 for c in clusters if c.eligible),
             )
         )
+        if not merges:
+            break
         cycle += 1
 
     return RunResult(best_genome, best_fitness, budget, trace)

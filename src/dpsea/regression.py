@@ -21,6 +21,7 @@ __all__ = [
     "ModelKind",
     "RegressionModel",
     "select_kind",
+    "design_matrix",
     "fit",
     "predict",
     "predict_many",
@@ -80,24 +81,35 @@ def _standardize(xs):
     return (xs - center) / scale, center, scale
 
 
-def _design(z, kind):
+def design_matrix(xs, kind):
+    """The basis of ``kind`` evaluated on standardized ``xs``.
+
+    Returns ``(a, center, scale)``: the ``(n, p)`` design matrix and the
+    standardization used. ``fit`` and ``loo_rank_correlation`` compute it
+    themselves unless given it as ``basis``, so a caller that needs both
+    on one sample set computes it once.
+    """
+    z, center, scale = _standardize(np.asarray(xs, dtype=np.float64))
     n = z.shape[0]
     ones = np.ones((n, 1))
     if kind is ModelKind.CONSTANT:
-        return ones
-    if kind is ModelKind.LINEAR:
-        return np.hstack([ones, z])
-    return np.hstack([ones, z, z * z])
+        a = ones
+    elif kind is ModelKind.LINEAR:
+        a = np.hstack([ones, z])
+    else:
+        a = np.hstack([ones, z, z * z])
+    return a, center, scale
 
 
-def fit(xs, ys, kind, lam=1e-6):
+def fit(xs, ys, kind, lam=1e-6, *, basis=None):
     """Ridge least-squares fit of the chosen basis.
 
     Minimizes ``sum((y - model(x))^2) + lam * ||beta||^2`` with the
     intercept unpenalized, on coordinates standardized to the sample mean
     and spread (spread of a degenerate coordinate is taken as 1). Solved
     as an augmented least-squares problem, which stays stable for
-    condition numbers well past 1e8 and any ``lam >= 0``.
+    condition numbers well past 1e8 and any ``lam >= 0``. ``basis`` is
+    ``design_matrix(xs, kind)`` when the caller already has it.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -111,9 +123,7 @@ def fit(xs, ys, kind, lam=1e-6):
         raise ValueError("lam must be nonnegative")
 
     d = xs.shape[1]
-    z, center, scale = _standardize(xs)
-
-    a = _design(z, kind)
+    a, center, scale = design_matrix(xs, kind) if basis is None else basis
     p = a.shape[1]
     if lam > 0 and p > 1:
         pen = math.sqrt(lam) * np.eye(p)[1:]  # intercept row excluded
@@ -127,7 +137,7 @@ def fit(xs, ys, kind, lam=1e-6):
     return RegressionModel(kind, coef, float(lam), center, scale)
 
 
-def loo_rank_correlation(xs, ys, kind, lam=1e-6):
+def loo_rank_correlation(xs, ys, kind, lam=1e-6, *, basis=None):
     """Spearman correlation between leave-one-out predictions and ``ys``.
 
     Each sample is predicted by the same ridge fit as ``fit`` made on the
@@ -138,13 +148,13 @@ def loo_rank_correlation(xs, ys, kind, lam=1e-6):
     coefficients. A constant model predicts each left-out sample by the
     mean of the others, which ranks them exactly backwards (-1). Fewer
     than three samples, constant ``ys``, or a basis the samples do not
-    determine (singular ``A'A`` at ``lam = 0``) give 0.
+    determine (singular ``A'A`` at ``lam = 0``) give 0. ``basis`` is
+    ``design_matrix(xs, kind)`` when the caller already has it.
     """
-    xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if ys.shape[0] < 3 or np.all(ys == ys[0]):
         return 0.0
-    a = _design(_standardize(xs)[0], kind)
+    a = (design_matrix(xs, kind) if basis is None else basis)[0]
     pen = np.full(a.shape[1], float(lam))
     pen[0] = 0.0  # intercept unpenalized, as in ``fit``
     gram = a.T @ a + np.diag(pen)

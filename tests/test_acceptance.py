@@ -21,7 +21,7 @@ from dpsea.benchmarks import (
     optimum,
 )
 from dpsea.engine import DpseaParams, self_organize
-from dpsea.ga import GaParams, Individual
+from dpsea.ga import GaParams, Population
 from dpsea.regression import ModelKind, fit
 from dpsea.stochastics import Budget, RngState, resampled_fitness
 
@@ -164,41 +164,31 @@ def test_criterion_6_clustering_laws():
     rng = np.random.default_rng(123)
     for _ in range(1000):
         n = int(rng.integers(1, 31))
-        pop = [
-            Individual(rng.uniform(-100, 100, 3), float(f), sampled=True)
-            for f in rng.normal(size=n)
-        ]
+        fits = rng.normal(size=n)
+        pop = Population.new(rng.uniform(-100, 100, (n, 3)), fits, sampled=True)
         clusters = self_organize(pop, fn, params)
-        ids = [id(m) for c in clusters for m in c.members]
-        assert len(ids) == n and len(set(ids)) == n  # disjoint cover
+        rows = [int(i) for c in clusters for i in c.rows]
+        assert len(rows) == n and len(set(rows)) == n  # disjoint cover
+        for c in clusters:
+            assert np.array_equal(c.members.genomes, pop.genomes[c.rows])
 
     wide = DpseaParams(ga=GaParams(pop_size=30, n_elites=3), radius_fraction=1.0)
-    pop = [
-        Individual(rng.uniform(-100, 100, 3), float(i), sampled=True)
-        for i in range(30)
-    ]
+    pop = Population.new(
+        rng.uniform(-100, 100, (30, 3)), np.arange(30.0), sampled=True
+    )
     assert len(self_organize(pop, fn, wide)) == 1
 
     # two tight blobs must be recovered exactly
     fn2 = make_function("sphere", dimension=2)
     blob_a = np.full((5, 2), -80.0) + rng.normal(0, 0.5, (5, 2))
     blob_b = np.full((5, 2), 80.0) + rng.normal(0, 0.5, (5, 2))
-    pop = [
-        Individual(g, float(i), sampled=True)
-        for i, g in enumerate(np.vstack([blob_a, blob_b]))
-    ]
+    pop = Population.new(np.vstack([blob_a, blob_b]), np.arange(10.0), sampled=True)
     clusters = self_organize(
         pop, fn2, DpseaParams(ga=GaParams(pop_size=10, n_elites=1))
     )
     assert len(clusters) == 2
-    got = sorted(tuple(sorted(id(m) for m in c.members)) for c in clusters)
-    want = sorted(
-        [
-            tuple(sorted(id(pop[i]) for i in range(5))),
-            tuple(sorted(id(pop[i]) for i in range(5, 10))),
-        ]
-    )
-    assert got == want
+    got = sorted(tuple(c.rows.tolist()) for c in clusters)
+    assert got == [tuple(range(5)), tuple(range(5, 10))]
     print("criterion 6: disjoint cover (1000 trials), single-cluster, two-blob ok")
 
 

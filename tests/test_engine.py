@@ -14,7 +14,7 @@ from dpsea.engine import (
     self_organize,
     surrogate_generations,
 )
-from dpsea.ga import GaParams, Individual
+from dpsea.ga import GaParams, Population
 from dpsea.regression import ModelKind
 from dpsea.stochastics import Budget, RngState
 
@@ -25,13 +25,14 @@ def small_params(**kwargs):
 
 
 def make_pop(genomes, fits=None, sampled=True):
-    genomes = np.asarray(genomes, float)
+    genomes = np.array(genomes, float)
     if fits is None:
         fits = np.arange(len(genomes), dtype=float)
-    return [
-        Individual(genomes[i].copy(), float(fits[i]), sampled=sampled)
-        for i in range(len(genomes))
-    ]
+    return Population.new(genomes, np.array(fits, float), sampled=sampled)
+
+
+def member_rows(clusters):
+    return [int(i) for c in clusters for i in c.rows]
 
 
 class TestSelfOrganize:
@@ -44,9 +45,11 @@ class TestSelfOrganize:
             genomes = rng.uniform(-100, 100, (n, 3))
             pop = make_pop(genomes, rng.normal(size=n))
             clusters = self_organize(pop, fn, params)
-            seen = [id(m) for c in clusters for m in c.members]
+            seen = member_rows(clusters)
             assert len(seen) == n
             assert len(set(seen)) == n
+            for c in clusters:
+                assert np.array_equal(c.members.genomes, genomes[c.rows])
 
     def test_radius_one_gives_single_cluster(self):
         fn = make_function("sphere", dimension=3)
@@ -74,10 +77,8 @@ class TestSelfOrganize:
         assert len(clusters) == 2
         # seed of the first cluster is the global best (index 5, blob b)
         assert clusters[0].seed_index == 5
-        got_b = {id(m) for m in clusters[0].members}
-        assert got_b == {id(pop[i]) for i in range(5, 10)}
-        got_a = {id(m) for m in clusters[1].members}
-        assert got_a == {id(pop[i]) for i in range(5)}
+        assert set(clusters[0].rows.tolist()) == set(range(5, 10))
+        assert set(clusters[1].rows.tolist()) == set(range(5))
 
     def test_max_clusters_cap_with_leftover_assignment(self):
         fn = make_function("sphere", dimension=1)
@@ -95,15 +96,32 @@ class TestSelfOrganize:
         # 100 is a leftover and joins its nearest seed (50)
         assert sizes == [2, 3]
 
+    def test_leftover_tie_goes_to_lower_seed_index(self):
+        fn = make_function("sphere", dimension=1)
+        params = small_params(
+            ga=GaParams(pop_size=3, n_elites=1),
+            max_clusters=2,
+            radius_fraction=0.01,
+            s_min=1,
+        )
+        # row 2 seeds the first cluster, row 0 the second; row 1 lies 10
+        # from both seeds and joins row 0, the seed with the lower index
+        pop = make_pop([[-10.0], [0.0], [10.0]], [1.0, 5.0, 0.0])
+        clusters = self_organize(pop, fn, params)
+        assert [c.seed_index for c in clusters] == [2, 0]
+        assert [c.rows.tolist() for c in clusters] == [[2], [0, 1]]
+
     def test_archive_holds_only_sampled_members(self):
         fn = make_function("sphere", dimension=2)
         params = small_params(
             radius_fraction=1.0, ga=GaParams(pop_size=4, n_elites=1), s_min=2
         )
         pop = make_pop(np.zeros((4, 2)), [1.0, 2.0, 3.0, 4.0])
-        pop[2].sampled = False
+        pop.sampled[2] = False
         clusters = self_organize(pop, fn, params)
-        assert len(clusters[0].archive) == 3
+        xs, ys = clusters[0].archive
+        assert xs.shape == (3, 2)
+        assert ys.tolist() == [1.0, 2.0, 4.0]
 
     def test_sample_pool_assigned_to_nearest_seed(self):
         fn = make_function("sphere", dimension=1)
@@ -118,13 +136,13 @@ class TestSelfOrganize:
         assert len(clusters) == 2
         left = next(c for c in clusters if c.centroid[0] < 0)
         right = next(c for c in clusters if c.centroid[0] > 0)
-        assert sorted(y for _, y in left.archive) == [10.0, 30.0]
-        assert [y for _, y in right.archive] == [20.0]
+        assert sorted(left.archive[1].tolist()) == [10.0, 30.0]
+        assert right.archive[1].tolist() == [20.0]
 
     def test_empty_population_rejected(self):
         fn = make_function("sphere", dimension=2)
         with pytest.raises(ValueError):
-            self_organize([], fn, small_params())
+            self_organize(make_pop(np.empty((0, 2))), fn, small_params())
 
 
 class TestEligibility:
@@ -138,7 +156,7 @@ class TestEligibility:
         from dpsea.engine import PseudoPopulation
 
         return [
-            PseudoPopulation(p, seed_index=i, centroid=np.zeros(fn.dimension))
+            PseudoPopulation(p, np.arange(len(p)), i, (p.genomes, p.fitness))
             for i, p in enumerate(pops)
         ]
 
@@ -173,13 +191,12 @@ class TestEligibility:
         params = small_params(kappa=0.5, s_min=2)
         clusters = self._clusters(fn, params, [3, 3], [0.0, 1.0])
         assess_eligibility(clusters, params)
-        assert all(m.stale_cycles == 1 for m in clusters[1].members)
+        assert all(clusters[1].members.stale_cycles == 1)
         # swap fitness so the stale cluster wins the next cycle
-        for m in clusters[1].members:
-            m.fitness_est -= 10.0
+        clusters[1].members.fitness -= 10.0
         assess_eligibility(clusters, params)
         assert clusters[1].eligible
-        assert all(m.stale_cycles == 0 for m in clusters[1].members)
+        assert all(clusters[1].members.stale_cycles == 0)
 
 
 class TestAdaptiveMutationRate:
@@ -245,10 +262,10 @@ class TestEvolvePseudo:
         evolve_pseudo(c, fn, params, RngState(1))
         from dpsea.regression import predict
 
-        for m in c.members:
-            if not m.unchanged:
-                assert m.fitness_est == pytest.approx(predict(c.model, m.genome))
-                assert not m.sampled
+        m = c.members
+        for i in np.flatnonzero(~m.unchanged):
+            assert m.fitness[i] == pytest.approx(predict(c.model, m.genomes[i]))
+            assert not m.sampled[i]
 
     def test_model_fit_cached_between_generations(self):
         fn = make_function("sphere", dimension=2)
@@ -270,7 +287,7 @@ class TestEvolvePseudo:
         fn = make_function("sphere", dimension=2)
         params = small_params()
         c = self._eligible_cluster(fn, params)
-        c.archive = []
+        c.archive = (np.empty((0, 2)), np.empty(0))
         evolve_pseudo(c, fn, params, RngState(1))
         assert c.model.kind is ModelKind.CONSTANT
 
@@ -317,7 +334,7 @@ class TestSurrogateGenerations:
         fn = make_function("sphere", dimension=2)
         params = small_params()
         c = self._cluster(fn, lambda g, rng: np.sum(g * g, axis=1))
-        c.archive = []
+        c.archive = (np.empty((0, 2)), np.empty(0))
         fit_surrogate(c, fn, params)
         assert c.model.kind is ModelKind.CONSTANT
         assert surrogate_generations(c, params) == 0
@@ -339,8 +356,7 @@ class TestMergeAndResample:
         params = DpseaParams(ga=GaParams(pop_size=100, n_elites=10))
         rng = np.random.default_rng(0)
         pop = make_pop(rng.uniform(-50, 50, (100, 2)))
-        for m in pop[:10]:
-            m.unchanged = True
+        pop.unchanged[:10] = True
         clusters = self_organize(pop, fn, small_params(
             ga=GaParams(pop_size=100, n_elites=10), radius_fraction=1.0))
         budget = Budget(pop_size=100, total_it=0, rs=5)
@@ -355,17 +371,16 @@ class TestMergeAndResample:
         fn = make_function("sphere", dimension=2)
         params = small_params(ga=GaParams(pop_size=4, n_elites=1), s_min=2)
         pop = make_pop(np.zeros((4, 2)), [1.0, 2.0, 3.0, 4.0])
-        pop[0].unchanged = True
+        pop.unchanged[0] = True
         clusters = self_organize(pop, fn, params)
         budget = Budget(pop_size=4, total_it=0, rs=1)
         merged = merge_and_resample(
             clusters, fn, NoiseModel(0.0, 0.0), 1, RngState(1), budget, params
         )
-        kept = next(m for m in merged if m.unchanged)
-        assert kept.fitness_est == 1.0
-        for m in merged:
-            if not m.unchanged:
-                assert m.fitness_est == 0.0  # true sphere value at origin
+        assert merged.unchanged.sum() == 1
+        assert merged.fitness[merged.unchanged][0] == 1.0
+        # true sphere value at origin
+        assert np.all(merged.fitness[~merged.unchanged] == 0.0)
 
     def test_stale_cluster_replaced_by_randoms(self):
         fn = make_function("sphere", dimension=2)
@@ -380,9 +395,10 @@ class TestMergeAndResample:
         merged = merge_and_resample(
             clusters, fn, NoiseModel(0.0, 0.0), 1, RngState(7), budget, params
         )
-        originals = {id(m) for m in pop}
-        assert all(id(m) not in originals for m in merged)
-        assert any(np.any(m.genome != 0.0) for m in merged)
+        # every original sits at the origin: no merged row may be one of them
+        assert not np.any(np.all(merged.genomes == 0.0, axis=1))
+        assert not merged.unchanged.any() and not merged.stale_cycles.any()
+        assert np.any(merged.genomes != 0.0)
 
     def test_refills_to_population_size(self):
         fn = make_function("sphere", dimension=2)

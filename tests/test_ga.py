@@ -1,23 +1,76 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from dpsea.ga import (
-    GaParams,
-    Individual,
-    arithmetic_crossover,
-    evolve_generation,
-    gaussian_mutate,
-    tournament_select,
-)
+from dpsea.ga import GaParams, Population, evolve_generation
 from dpsea.stochastics import RngState
 
 
-class FakeRng:
-    """Plays back scripted uniform/integer draws for hand-computed oracles."""
+# Scalar oracles: one individual or one pair at a time, each draw in the
+# order a hand computation would take it. ``evolve_generation`` draws a
+# whole generation at once and must agree with them draw for draw.
 
-    def __init__(self, uniforms=(), ints=()):
+
+@dataclass
+class Individual:
+    genome: np.ndarray
+    fitness_est: float = math.nan
+    sampled: bool = False
+
+
+def tournament_select(pop, k, rng):
+    """Best of ``k`` uniform draws with replacement; ties go to the lower index."""
+    if not pop:
+        raise ValueError("cannot select from an empty population")
+    if k < 1:
+        raise ValueError("tournament size must be >= 1")
+    idx = rng.integers(0, len(pop), k)
+    best = min(idx, key=lambda i: (pop[i].fitness_est, i))
+    return pop[int(best)]
+
+
+def arithmetic_crossover(a, b, p_c, rng):
+    """Whole-arithmetic crossover with a single alpha per pair.
+
+    With probability ``p_c`` the children are the two convex combinations
+    of the parents; otherwise they are plain copies. Children are stale
+    (fitness NaN, flags cleared) either way.
+    """
+    if a.genome.shape != b.genome.shape:
+        raise ValueError("parent genomes must have the same length")
+    if rng.uniform() < p_c:
+        alpha = rng.uniform()
+        g1 = alpha * a.genome + (1.0 - alpha) * b.genome
+        g2 = (1.0 - alpha) * a.genome + alpha * b.genome
+    else:
+        g1 = a.genome.copy()
+        g2 = b.genome.copy()
+    return Individual(g1), Individual(g2)
+
+
+def gaussian_mutate(ind, p_m, sigma_m, bounds, rng):
+    """Per-gene additive N(0, sigma_m) noise with probability ``p_m``, clamped."""
+    if sigma_m < 0:
+        raise ValueError("sigma_m must be nonnegative")
+    d = ind.genome.shape[0]
+    mask = rng.uniform(size=d) < p_m
+    noise = rng.normal(0.0, math.sqrt(sigma_m), d) if sigma_m > 0 else np.zeros(d)
+    genome = np.clip(ind.genome + np.where(mask, noise, 0.0), bounds[0], bounds[1])
+    return Individual(genome)
+
+
+class FakeRng:
+    """Plays back scripted uniform/integer/normal draws for oracles.
+
+    ``normals`` holds whole arrays, one per ``normal`` call.
+    """
+
+    def __init__(self, uniforms=(), ints=(), normals=()):
         self._uniforms = list(uniforms)
         self._ints = list(ints)
+        self._normals = list(normals)
 
     def uniform(self, low=0.0, high=1.0, size=None):
         if size is None:
@@ -30,7 +83,30 @@ class FakeRng:
         return np.array([self._ints.pop(0) for _ in range(int(size))])
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        raise AssertionError("unexpected normal draw")
+        if not self._normals:
+            raise AssertionError("unexpected normal draw")
+        return self._normals.pop(0)
+
+
+class RecordingRng:
+    """An ``RngState`` that keeps every array it hands out."""
+
+    def __init__(self, seed):
+        self._rng = RngState(seed)
+        self.draws = []
+
+    def _keep(self, out):
+        self.draws.append(out)
+        return out
+
+    def integers(self, low, high, size=None):
+        return self._keep(self._rng.integers(low, high, size))
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self._keep(self._rng.uniform(low, high, size))
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return self._keep(self._rng.normal(loc, scale, size))
 
 
 def make_pop(fits):
@@ -164,67 +240,101 @@ class TestEvolveGeneration:
     def setup_method(self):
         self.params = GaParams(pop_size=20, n_elites=4)
         rng = RngState(1)
-        genomes = rng.uniform(-1, 1, (20, 3))
-        self.pop = [
-            Individual(genomes[i], float(i), sampled=True) for i in range(20)
-        ]
+        self.genomes = rng.uniform(-1, 1, (20, 3))
+        self.fitness = np.arange(20, dtype=float)
+        self.pop = Population.new(self.genomes, self.fitness, sampled=True)
+
+    def sphere(self, xs):
+        return np.sum(xs * xs, axis=1)
 
     def test_size_preserved(self):
-        out = evolve_generation(
-            self.pop, lambda g: float(np.sum(g * g)), self.params, RngState(2),
-            (-1.0, 1.0),
+        genomes, fitness, elites = evolve_generation(
+            self.genomes, self.fitness, self.params, RngState(2), (-1.0, 1.0),
+            self.sphere,
         )
-        assert len(out) == 20
+        assert genomes.shape == (20, 3)
+        assert fitness.shape == (20,)
+        assert elites.shape == (4,)
+        assert len(self.pop.evolve(
+            self.params, RngState(2), (-1.0, 1.0), self.sphere, sampled=True
+        )) == 20
 
     def test_elites_carried_unchanged(self):
-        out = evolve_generation(
-            self.pop, lambda g: 0.0, self.params, RngState(2), (-1.0, 1.0)
+        genomes, fitness, elites = evolve_generation(
+            self.genomes, self.fitness, self.params, RngState(2), (-1.0, 1.0),
+            lambda xs: np.zeros(len(xs)),
+        )
+        assert np.array_equal(elites, np.arange(4))
+        out = self.pop.evolve(
+            self.params, RngState(2), (-1.0, 1.0), lambda xs: np.zeros(len(xs)),
+            sampled=True,
         )
         for i in range(4):
-            assert out[i].unchanged
-            assert out[i].fitness_est == self.pop[i].fitness_est
-            assert np.array_equal(out[i].genome, self.pop[i].genome)
+            assert out.unchanged[i]
+            assert fitness[i] == self.fitness[i]
+            assert out.fitness[i] == self.fitness[i]
+            assert np.array_equal(genomes[i], self.genomes[i])
+            assert np.array_equal(out.genomes[i], self.genomes[i])
+        assert not out.unchanged[4:].any()
 
     def test_fitness_called_once_per_offspring(self):
         calls = []
 
-        def fitness(g):
-            calls.append(g)
-            return 0.0
+        def score(xs):
+            calls.append(len(xs))
+            return np.zeros(len(xs))
 
-        evolve_generation(self.pop, fitness, self.params, RngState(2), (-1.0, 1.0))
-        assert len(calls) == self.params.pop_size - self.params.n_elites
+        evolve_generation(
+            self.genomes, self.fitness, self.params, RngState(2), (-1.0, 1.0), score
+        )
+        # one call, one row per offspring
+        assert calls == [self.params.pop_size - self.params.n_elites]
 
     def test_batch_and_scalar_paths_agree(self):
-        scalar = evolve_generation(
-            self.pop, lambda g: float(np.sum(g * g)), self.params, RngState(7),
-            (-1.0, 1.0),
+        # replay the draws of one generation through the scalar oracles
+        params = GaParams(pop_size=20, n_elites=4, p_c=0.6, p_m=0.4, sigma_m=0.25)
+        rng = RecordingRng(7)
+        genomes, fitness, _ = evolve_generation(
+            self.genomes, self.fitness, params, rng, (-1.0, 1.0), self.sphere
         )
-        batched = evolve_generation(
-            self.pop, None, self.params, RngState(7), (-1.0, 1.0),
-            fitness_batch=lambda xs: np.sum(xs * xs, axis=1),
-        )
-        for a, b in zip(scalar, batched):
-            assert np.array_equal(a.genome, b.genome)
-            assert a.fitness_est == pytest.approx(b.fitness_est)
+        draws, u_cross, alphas, mask_u, noise = rng.draws
+        pop = [Individual(g, f) for g, f in zip(self.genomes, self.fitness)]
+        children = []
+        for k in range(len(u_cross)):
+            a, b = (
+                tournament_select(pop, 2, FakeRng(ints=draws[k, slot].tolist()))
+                for slot in range(2)
+            )
+            children += arithmetic_crossover(
+                a, b, params.p_c, FakeRng(uniforms=[u_cross[k], alphas[k]])
+            )
+        for j, child in enumerate(children):
+            got = gaussian_mutate(
+                child, params.p_m, params.sigma_m, (-1.0, 1.0),
+                FakeRng(uniforms=mask_u[j], normals=[noise[j]]),
+            )
+            assert np.array_equal(genomes[4 + j], got.genome)
+            assert fitness[4 + j] == pytest.approx(float(np.sum(got.genome**2)))
 
     def test_offspring_within_bounds(self):
-        out = evolve_generation(
-            self.pop, lambda g: 0.0, self.params, RngState(5), (-0.5, 0.5),
-            sampled=True,
+        genomes, _, _ = evolve_generation(
+            self.genomes, self.fitness, self.params, RngState(5), (-0.5, 0.5),
+            lambda xs: np.zeros(len(xs)),
         )
-        for ind in out[self.params.n_elites :]:
-            assert np.all(ind.genome >= -0.5) and np.all(ind.genome <= 0.5)
+        assert np.all(genomes[self.params.n_elites :] >= -0.5)
+        assert np.all(genomes[self.params.n_elites :] <= 0.5)
 
     def test_wrong_population_size_rejected(self):
         with pytest.raises(ValueError):
             evolve_generation(
-                self.pop[:10], lambda g: 0.0, self.params, RngState(0), (-1, 1)
+                self.genomes[:10], self.fitness[:10], self.params, RngState(0),
+                (-1, 1), lambda xs: np.zeros(len(xs)),
             )
 
     def test_sampled_flag_propagates(self):
-        out = evolve_generation(
-            self.pop, lambda g: 0.0, self.params, RngState(2), (-1.0, 1.0),
+        out = self.pop.evolve(
+            self.params, RngState(2), (-1.0, 1.0), lambda xs: np.zeros(len(xs)),
             sampled=False,
         )
-        assert all(not ind.sampled for ind in out[4:])
+        assert not out.sampled[4:].any()
+        assert out.sampled[:4].all()  # elites keep their flag
