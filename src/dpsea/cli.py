@@ -60,11 +60,18 @@ def _load_config(args):
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object")
 
-    out_dir = args.out or raw.pop("out", "results")
-    fmt = args.format or raw.pop("format", "csv")
+    def pick(key, flag, default=None):
+        # pop the file's key even when the flag wins, so it is not "unknown"
+        value = raw.pop(key, default)
+        return value if flag is None else flag
 
-    seed = args.seed if args.seed is not None else raw.pop("seed", None)
+    out_dir = pick("out", args.out, "results")
+    fmt = pick("format", args.format, "csv")
+
+    seed = pick("seed", args.seed)
     if seed is None:
         seed = harness.entropy_seed()
         print(f"no seed given; using entropy seed {seed}", file=sys.stderr)
@@ -78,15 +85,15 @@ def _load_config(args):
     epsilon.update(raw.pop("success", {}).get("epsilon", {}))
 
     cfg = ExperimentConfig(
-        function=args.function or raw.pop("function", "sphere"),
+        function=pick("function", args.function, "sphere"),
         dimension=raw.pop("dimension", None),
         noisy=raw.pop("noisy", True),
-        sigmas=tuple(args.sigma or raw.pop("sigma", [1.0])),
-        algo=args.algo or raw.pop("algo", "dpsea"),
-        rs_list=tuple(args.rs or raw.pop("rs", [1])),
-        repeats=args.repeats or raw.pop("repeats", 30),
+        sigmas=tuple(pick("sigma", args.sigma, [1.0])),
+        algo=pick("algo", args.algo, "dpsea"),
+        rs_list=tuple(pick("rs", args.rs, [1])),
+        repeats=pick("repeats", args.repeats, 30),
         base_seed=int(seed),
-        total_eval=args.total_eval or raw.pop("total_eval", None),
+        total_eval=pick("total_eval", args.total_eval),
         rastrigin_constant=raw.pop("rastrigin_constant", None),
         epsilon=epsilon,
         params=overrides,
@@ -94,6 +101,7 @@ def _load_config(args):
     unknown = set(raw)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    harness.worker_count()  # a bad DPSEA_THREADS fails before any run
     return cfg, out_dir, fmt
 
 
@@ -107,24 +115,21 @@ def _cmd_run(args):
     summaries = harness.summarize(records)
     try:
         paths = harness.emit(records, summaries, fmt, out_dir)
-        echo = os.path.join(out_dir, "config.json")
-        with open(echo, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "function": cfg.function,
-                    "dimension": cfg.dimension,
-                    "noisy": cfg.noisy,
-                    "sigma": list(cfg.sigmas),
-                    "algo": cfg.algo,
-                    "rs": list(cfg.rs_list),
-                    "repeats": cfg.repeats,
-                    "seed": cfg.base_seed,
-                    "total_eval": cfg.total_eval,
-                    "format": fmt,
-                },
-                fh,
-                indent=2,
-            )
+        echo = {
+            "function": cfg.function,
+            "dimension": cfg.dimension,
+            "noisy": cfg.noisy,
+            "sigma": list(cfg.sigmas),
+            "algo": cfg.algo,
+            "rs": list(cfg.rs_list),
+            "repeats": cfg.repeats,
+            "seed": cfg.base_seed,
+            "total_eval": cfg.total_eval,
+            "format": fmt,
+        }
+        harness._atomic_write(
+            os.path.join(out_dir, "config.json"), json.dumps(echo, indent=2)
+        )
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import benchmarks, regression
+from . import _blas, benchmarks, regression
 from .ga import GaParams, Population
 from .regression import ModelKind, RegressionModel
 from .results import CycleRecord, RunResult
@@ -373,6 +373,7 @@ def initial_design(fn, noise, params, rng, budget):
     return np.vstack([genomes, best]), np.concatenate([vals, best_val])
 
 
+@_blas.one_thread()  # a fresh context per call: OpenBLAS on one thread
 def run(fn, noise, params, rng, budget=None):
     """Full switching loop until the evaluation budget is exhausted.
 
@@ -384,7 +385,8 @@ def run(fn, noise, params, rng, budget=None):
     as many as the model's leave-one-out fidelity earns, with the same
     absolute step), then merge with true resampling. The returned best-ever
     solution is scored by the noiseless fitness (scoring does not count
-    against the budget).
+    against the budget). The run keeps OpenBLAS on one thread
+    (``_blas.one_thread``), so parallel runs do not contend for cores.
     """
     if budget is None:
         budget = Budget(pop_size=params.ga.pop_size, total_it=0, rs=params.rs_merge)

@@ -33,6 +33,7 @@ __all__ = [
     "derive_seed",
     "run_single",
     "run_experiment",
+    "worker_count",
     "summarize",
     "success_rate",
     "emit",
@@ -235,11 +236,27 @@ def _run_cell(args):
     return replace(record, repeat=rep)
 
 
+def worker_count():
+    """Worker processes set by ``DPSEA_THREADS``; 0 (unset or empty) is serial.
+
+    Raises ``ConfigError`` unless the value is a non-negative integer.
+    """
+    text = os.environ.get("DPSEA_THREADS", "").strip()
+    if not text:
+        return 0
+    if not (text.isascii() and text.isdigit()):
+        raise ConfigError(
+            f"DPSEA_THREADS must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def run_experiment(cfg):
     """All (sigma, rs, repeat) cells, in deterministic sweep order.
 
-    The environment variable ``DPSEA_THREADS`` (> 0) enables process-level
-    parallelism across cells; output order is by sweep index either way.
+    ``worker_count()`` > 0 (the environment variable ``DPSEA_THREADS``)
+    runs the cells in that many worker processes, at most one per cell;
+    output order is by sweep index either way.
     """
     jobs = [
         (cfg, si, sigma, ri, rs, rep)
@@ -247,7 +264,7 @@ def run_experiment(cfg):
         for ri, rs in enumerate(cfg.rs_list)
         for rep in range(cfg.repeats)
     ]
-    workers = int(os.environ.get("DPSEA_THREADS", "0") or 0)
+    workers = min(worker_count(), len(jobs))
     if workers > 0:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, jobs))

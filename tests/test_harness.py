@@ -116,6 +116,40 @@ class TestRunExperiment:
         ]
         assert [r.seed for r in serial] == [r.seed for r in parallel]
 
+    def test_worker_count_parsing(self, monkeypatch):
+        for text, expected in (("", 0), ("0", 0), ("3", 3), (" 2 ", 2)):
+            monkeypatch.setenv("DPSEA_THREADS", text)
+            assert harness.worker_count() == expected
+        monkeypatch.delenv("DPSEA_THREADS")
+        assert harness.worker_count() == 0
+        for text in ("abc", "-1", "1.5", "2x"):
+            monkeypatch.setenv("DPSEA_THREADS", text)
+            with pytest.raises(ConfigError, match="DPSEA_THREADS"):
+                harness.worker_count()
+
+    def test_workers_capped_at_cell_count(self, monkeypatch):
+        # a stand-in pool: no process is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("DPSEA_THREADS", "64")
+        records = run_experiment(tiny_config())
+        assert sizes == [4]
+        assert len(records) == 4
+
     def test_run_single_respects_budget(self):
         cfg = tiny_config(algo="dpsea", total_eval=3_000, params={
             "dpsea": {"pop_size": 20, "n_elites": 2}})
@@ -277,6 +311,80 @@ class TestCli:
         )
         assert code == 1
         assert "bogus" in err
+
+    def test_config_file_not_an_object_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(["algo", "cga"]))
+        code, _, err = self.run_cli(
+            ["run", "--config", str(path), "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 1
+        assert "JSON object" in err
+
+    def test_flags_override_config_file_keys(self, tmp_path, capsys):
+        file_out = tmp_path / "file_out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "out": str(file_out),
+            "format": "json",
+            "seed": 99,
+            "function": "griewank",
+            "sigma": [0.5],
+            "algo": "dpsea",
+            "rs": [3],
+            "repeats": 2,
+            "total_eval": 1_000_000,
+        }))
+        out = str(tmp_path / "res")
+        code, _, err = self.run_cli(
+            self.base_args(out) + ["--config", str(path), "--format", "csv"],
+            capsys,
+        )
+        assert code == 0, err
+        assert not file_out.exists()
+        echo = json.loads((tmp_path / "res" / "config.json").read_text())
+        assert echo == {
+            "function": "sphere", "dimension": None, "noisy": True,
+            "sigma": [0.0], "algo": "cga", "rs": [1], "repeats": 1,
+            "seed": 3, "total_eval": 2000, "format": "csv",
+        }
+        plain = str(tmp_path / "plain")
+        self.run_cli(self.base_args(plain), capsys)
+        a = (tmp_path / "res" / "runs.csv").read_text()
+        b = (tmp_path / "plain" / "runs.csv").read_text()
+        trim = lambda text: [ln.rsplit(",", 1)[0] for ln in text.splitlines()]
+        assert trim(a) == trim(b)
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_worker_count_exits_1_before_any_run(
+        self, value, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        monkeypatch.setenv("DPSEA_THREADS", value)
+        out = tmp_path / "res"
+        code, _, err = self.run_cli(self.base_args(str(out)), capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: invalid configuration: DPSEA_THREADS")
+        assert not out.exists()
+
+    def test_config_echo_written_atomically(self, tmp_path, capsys, monkeypatch):
+        written = []
+        atomic_write = harness._atomic_write
+
+        def spy(path, text):
+            written.append(os.path.basename(path))
+            atomic_write(path, text)
+
+        monkeypatch.setattr(harness, "_atomic_write", spy)
+        out = tmp_path / "res"
+        code, _, _ = self.run_cli(self.base_args(str(out)), capsys)
+        assert code == 0
+        assert written == ["runs.csv", "summary.csv", "config.json"]
+        assert sorted(os.listdir(out)) == ["config.json", "runs.csv", "summary.csv"]
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
