@@ -37,7 +37,7 @@ def main():
     print()
     print("basis choice scales with the sample count (D = 2):")
     for n in (3, 4, 5, 6, 12):
-        print(f"  {n:>2} samples -> {select_kind(n, d).value}")
+        print(f"  {n:>2} samples -> {select_kind(n, d, 1.0).value}")
 
     model = fit(xs, ys, ModelKind.DIAG_QUADRATIC, lam=1e-6)
     print()

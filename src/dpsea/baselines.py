@@ -162,7 +162,7 @@ def run_de(fn, noise, cfg, rng):
     return RunResult(tracker.best_genome, tracker.best_fitness, budget, trace)
 
 
-def inertia_weight(it, total_it, w_start=1.0, w_end=0.7):
+def inertia_weight(it, total_it, w_start, w_end):
     """Linear inertia schedule: w_start at iteration 0, w_end at the last."""
     if total_it <= 1:
         return w_start

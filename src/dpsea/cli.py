@@ -19,12 +19,8 @@ from . import benchmarks, harness
 from .harness import ConfigError, ExperimentConfig
 
 
-def _float_list(text):
-    return tuple(float(v) for v in text.split(","))
-
-
-def _int_list(text):
-    return tuple(int(v) for v in text.split(","))
+def _list_of(kind):
+    return lambda text: tuple(kind(v) for v in text.split(","))
 
 
 def build_parser():
@@ -37,8 +33,8 @@ def build_parser():
     run.add_argument("--config", help="JSON config file")
     run.add_argument("--algo", choices=harness.ALGOS)
     run.add_argument("--function", choices=benchmarks.FUNCTION_IDS)
-    run.add_argument("--rs", type=_int_list, help="comma-separated rs sweep")
-    run.add_argument("--sigma", type=_float_list, help="comma-separated sigma sweep")
+    run.add_argument("--rs", type=_list_of(int), help="comma-separated rs sweep")
+    run.add_argument("--sigma", type=_list_of(float), help="comma-separated sigma sweep")
     run.add_argument("--repeats", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--total-eval", type=int)
@@ -55,6 +51,15 @@ def build_parser():
     return parser
 
 
+# config-file key -> ExperimentConfig field; a flag of the same name wins
+_FILE_KEYS = {
+    "function": "function", "dimension": "dimension", "noisy": "noisy",
+    "sigma": "sigmas", "algo": "algo", "rs": "rs_list", "repeats": "repeats",
+    "seed": "base_seed", "total_eval": "total_eval",
+    "rastrigin_constant": "rastrigin_constant",
+}
+
+
 def _load_config(args):
     raw = {}
     if args.config:
@@ -63,72 +68,59 @@ def _load_config(args):
         if not isinstance(raw, dict):
             raise ConfigError(f"{args.config} must hold a JSON object")
 
-    def pick(key, flag, default=None):
-        # pop the file's key even when the flag wins, so it is not "unknown"
-        value = raw.pop(key, default)
-        return value if flag is None else flag
-
-    out_dir = pick("out", args.out, "results")
-    fmt = pick("format", args.format, "csv")
-
-    seed = pick("seed", args.seed)
-    if seed is None:
-        seed = harness.entropy_seed()
-        print(f"no seed given; using entropy seed {seed}", file=sys.stderr)
-
-    overrides = {
-        k: raw.pop(k)
-        for k in ("dpsea", "cga", "de", "pso", "regression")
-        if k in raw
-    }
-    epsilon = dict(harness.DEFAULT_EPSILON)
-    epsilon.update(raw.pop("success", {}).get("epsilon", {}))
-
+    # a flag wins over the file's key, which is popped either way so that
+    # what is left is unknown; null in the file keeps the default
+    values = {}
+    for key in (*_FILE_KEYS, "out", "format"):
+        value, flag = raw.pop(key, None), getattr(args, key, None)
+        values[key] = value if flag is None else flag
+    out_dir = values.pop("out") or "results"
+    fmt = values.pop("format") or "csv"
+    if not isinstance(out_dir, str) or fmt not in ("csv", "json"):
+        raise ConfigError(f"bad out {out_dir!r} or format {fmt!r}")
+    kwargs = {_FILE_KEYS[k]: v for k, v in values.items() if v is not None}
+    entropy = "base_seed" not in kwargs
+    kwargs.setdefault("base_seed", harness.entropy_seed())
+    success = raw.pop("success", {})
+    if not isinstance(success, dict) or set(success) - {"epsilon"}:
+        raise ConfigError(
+            f"success must be an object whose one key is epsilon, got {success!r}"
+        )
     cfg = ExperimentConfig(
-        function=pick("function", args.function, "sphere"),
-        dimension=raw.pop("dimension", None),
-        noisy=raw.pop("noisy", True),
-        sigmas=tuple(pick("sigma", args.sigma, [1.0])),
-        algo=pick("algo", args.algo, "dpsea"),
-        rs_list=tuple(pick("rs", args.rs, [1])),
-        repeats=pick("repeats", args.repeats, 30),
-        base_seed=int(seed),
-        total_eval=pick("total_eval", args.total_eval),
-        rastrigin_constant=raw.pop("rastrigin_constant", None),
-        epsilon=epsilon,
-        params=overrides,
+        **kwargs,
+        epsilon=success.get("epsilon", {}),
+        params={k: raw.pop(k) for k in harness.ALGOS if k in raw},
     )
-    unknown = set(raw)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if raw:
+        raise ConfigError(f"unknown config keys: {sorted(raw)}")
     harness.worker_count()  # a bad DPSEA_THREADS fails before any run
+    if entropy:
+        print(f"no seed given; using entropy seed {cfg.base_seed}", file=sys.stderr)
     return cfg, out_dir, fmt
+
+
+def _echo(cfg, fmt):
+    """The config file that reproduces ``cfg``'s runs."""
+    echo = {key: getattr(cfg, name) for key, name in _FILE_KEYS.items()}
+    echo.update(harness.resolved_settings(cfg))
+    echo["success"] = {"epsilon": cfg.epsilon}
+    echo["format"] = fmt
+    return echo
 
 
 def _cmd_run(args):
     try:
         cfg, out_dir, fmt = _load_config(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and bad JSON included
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
     records = harness.run_experiment(cfg)
     summaries = harness.summarize(records)
     try:
         paths = harness.emit(records, summaries, fmt, out_dir)
-        echo = {
-            "function": cfg.function,
-            "dimension": cfg.dimension,
-            "noisy": cfg.noisy,
-            "sigma": list(cfg.sigmas),
-            "algo": cfg.algo,
-            "rs": list(cfg.rs_list),
-            "repeats": cfg.repeats,
-            "seed": cfg.base_seed,
-            "total_eval": cfg.total_eval,
-            "format": fmt,
-        }
         harness._atomic_write(
-            os.path.join(out_dir, "config.json"), json.dumps(echo, indent=2)
+            os.path.join(out_dir, "config.json"),
+            json.dumps(_echo(cfg, fmt), indent=2),
         )
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
@@ -148,47 +140,26 @@ def _read_records(in_dir):
     return records
 
 
-def _cmd_summarize(args):
-    try:
-        records = _read_records(args.in_dir)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print("function,algo,sigma,rs,n,mean_best_true_fitness,std_best_true_fitness")
-    for s in harness.summarize(records):
-        print(
-            f"{s.function},{s.algo},{s.sigma!r},{s.rs},{s.n},"
-            f"{s.mean_best_true_fitness!r},{s.std_best_true_fitness!r}"
-        )
-    return 0
-
-
-def _cmd_success(args):
-    try:
-        records = _read_records(args.in_dir)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    fn = benchmarks.make_function(records[0].function, records[0].dimension)
-    _, opt_value = benchmarks.optimum(fn)
-    eps = (
-        args.epsilon
-        if args.epsilon is not None
-        else harness.DEFAULT_EPSILON[records[0].function]
-    )
-    print("sigma,success_pct")
-    for sigma, pct in harness.success_rate(records, eps, opt_value).items():
-        print(f"{sigma!r},{pct}")
-    return 0
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
+    try:
+        records = _read_records(args.in_dir)
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.command == "summarize":
-        return _cmd_summarize(args)
-    return _cmd_success(args)
+        print(harness.csv_text(harness.Summary, harness.summarize(records)), end="")
+        return 0
+    opt_value = 0.0
+    if args.epsilon is not None:
+        fn = benchmarks.make_function(records[0].function, records[0].dimension)
+        _, opt_value = benchmarks.optimum(fn)
+    print("sigma,success_pct")
+    for sigma, pct in harness.success_rate(records, args.epsilon, opt_value).items():
+        print(f"{sigma!r},{pct}")
+    return 0
 
 
 if __name__ == "__main__":

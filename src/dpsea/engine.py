@@ -225,16 +225,16 @@ def fit_surrogate(cluster, fn, params):
     no archive to check it on.
     """
     xs, ys = cluster.archive
+    lam = params.regression_lambda
     if len(ys) == 0:
         m = cluster.members
-        cluster.model = regression.fit(m.genomes, m.fitness, ModelKind.CONSTANT)
+        cluster.model = regression.fit(m.genomes, m.fitness, ModelKind.CONSTANT, lam)
         cluster.fidelity = 0.0
         return cluster
     kind = regression.select_kind(
         len(ys), fn.dimension, params.quadratic_min_samples_factor
     )
     basis = regression.design_matrix(xs, kind)
-    lam = params.regression_lambda
     cluster.model = regression.fit(xs, ys, kind, lam, basis=basis)
     cluster.fidelity = regression.loo_rank_correlation(xs, ys, kind, lam, basis=basis)
     return cluster

@@ -12,11 +12,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
 import secrets
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import baselines, benchmarks, engine
 from .ga import GaParams
@@ -31,16 +33,30 @@ __all__ = [
     "TABLE_BUDGETS",
     "default_total_eval",
     "derive_seed",
+    "build_params",
+    "resolved_settings",
     "run_single",
     "run_experiment",
     "worker_count",
     "summarize",
     "success_rate",
+    "csv_text",
     "emit",
     "parse_runs_csv",
 ]
 
-ALGOS = ("dpsea", "cga", "de", "pso")
+# An algorithm: its parameter dataclass, the module and name of its runner,
+# called as runner(fn, noise, params, rng), and the names of the two fields
+# the sweep sets from rs and total_eval. The runner is looked up when it is
+# called, so a wrapper put on the module attribute is the one that runs.
+_Algo = namedtuple("_Algo", "config module runner rs budget")
+REGISTRY = {
+    "dpsea": _Algo(engine.DpseaParams, engine, "run", "rs_merge", "max_total_eval"),
+    "cga": _Algo(baselines.CgaConfig, baselines, "run_cga", "rs", "total_eval"),
+    "de": _Algo(baselines.DeConfig, baselines, "run_de", "rs", "total_eval"),
+    "pso": _Algo(baselines.PsoConfig, baselines, "run_pso", "rs", "total_eval"),
+}
+ALGOS = tuple(REGISTRY)
 
 # per-function success thresholds on distance to the known optimum
 DEFAULT_EPSILON = {
@@ -58,11 +74,6 @@ TABLE_BUDGETS = {
                  "rosenbrock": 500_000},
 }
 
-RUNS_COLUMNS = [
-    "function", "dimension", "noisy", "sigma", "algo", "rs", "repeat",
-    "seed", "best_true_fitness", "total_eval", "success", "wall_ms",
-]
-
 SIGMA_SWEEP = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9]
 RS_SWEEP = [1, 5, 20, 50, 100]
 
@@ -76,8 +87,54 @@ def default_total_eval(function, algo):
     return TABLE_BUDGETS[key][function]
 
 
+def _check(ok, message):
+    if not ok:
+        raise ConfigError(message)
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(ok, v))
+
+
+# ExperimentConfig field -> (what it must be, test)
+_RULES = {
+    "function": (f"one of {benchmarks.FUNCTION_IDS}",
+                 lambda v: v in benchmarks.FUNCTION_IDS),
+    "dimension": ("null or an integer", lambda v: v is None or _is_int(v)),
+    "noisy": ("true or false", lambda v: isinstance(v, bool)),
+    "sigmas": ("a nonempty list of numbers >= 0",
+               _list_of(lambda v: _is_real(v) and v >= 0)),
+    "algo": (f"one of {ALGOS}", lambda v: v in ALGOS),
+    "rs_list": ("a nonempty list of integers >= 1",
+                _list_of(lambda v: _is_int(v) and v >= 1)),
+    "repeats": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "base_seed": ("an integer", _is_int),
+    "total_eval": ("null or an integer >= 1",
+                   lambda v: v is None or _is_int(v) and v >= 1),
+    "rastrigin_constant": ("null or a number", lambda v: v is None or _is_real(v)),
+    "epsilon": ("an object mapping function ids to numbers",
+                lambda v: isinstance(v, dict) and all(
+                    k in benchmarks.FUNCTION_IDS and _is_real(x) for k, x in v.items())),
+    "params": (f"an object mapping algo ids {ALGOS} to blocks",
+               lambda v: isinstance(v, dict) and all(k in ALGOS for k in v)),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep. Construction checks every field and builds every block in
+    ``params`` (see ``build_params``) and the benchmark function, so a bad
+    value raises ``ConfigError`` before any run. ``epsilon`` is filled in
+    from ``DEFAULT_EPSILON``."""
+
     function: str = "sphere"
     dimension: int | None = None
     noisy: bool = True
@@ -88,25 +145,20 @@ class ExperimentConfig:
     base_seed: int = 0
     total_eval: int | None = None
     rastrigin_constant: float | None = None
-    epsilon: dict = field(default_factory=lambda: dict(DEFAULT_EPSILON))
-    # per-namespace parameter overrides: dpsea.*, cga.*, de.*, pso.*, regression.*
+    epsilon: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.function not in benchmarks.FUNCTION_IDS:
-            raise ConfigError(f"unknown function {self.function!r}")
-        if self.algo not in ALGOS:
-            raise ConfigError(f"unknown algo {self.algo!r}; expected one of {ALGOS}")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
-        if not self.sigmas:
-            raise ConfigError("sigma sweep must be nonempty")
-        if not self.rs_list:
-            raise ConfigError("rs sweep must be nonempty")
-        if any(s < 0 for s in self.sigmas):
-            raise ConfigError("sigma values must be nonnegative")
-        if any(r < 1 for r in self.rs_list):
-            raise ConfigError("rs values must be positive integers")
+        for name, (what, ok) in _RULES.items():
+            value = getattr(self, name)
+            _check(ok(value), f"{name} must be {what}, got {value!r}")
+        object.__setattr__(self, "epsilon", {**DEFAULT_EPSILON, **self.epsilon})
+        for algo, block in self.params.items():
+            build_params(algo, block)
+        try:
+            _build_function(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -146,73 +198,78 @@ def entropy_seed():
     return secrets.randbits(63)
 
 
-def _ga_params(overrides):
-    allowed = {"pop_size", "p_c", "p_m", "n_elites", "sigma_m"}
-    kwargs = {k: v for k, v in overrides.items() if k in allowed}
-    return GaParams(**kwargs)
+def _block_keys(algo):
+    """Defaults of the block keys set on ``algo``'s dataclass, and of those
+    that go into its ``GaParams`` (none when it has no ``ga`` field)."""
+    spec = REGISTRY[algo]
+    own = {f.name: f.default for f in fields(spec.config)
+           if f.name not in (spec.rs, spec.budget)}
+    ga = {f.name: f.default for f in fields(GaParams)} if "ga" in own else {}
+    own.pop("ga", None)
+    return own, ga
+
+
+def build_params(algo, block, rs=None, total_eval=None):
+    """``algo``'s parameter dataclass, built from its config ``block``.
+
+    A key naming a ``GaParams`` field goes into ``ga`` when the dataclass
+    has that field; any other field is set directly, except ``ga`` and the
+    two that the sweep sets from ``rs`` and ``total_eval`` (``None`` keeps
+    the dataclass's value). An unknown key or bad value raises ``ConfigError``.
+    """
+    spec = REGISTRY[algo]
+    _check(isinstance(block, dict), f"the {algo} block must be an object, got {block!r}")
+    own, ga = _block_keys(algo)
+    for key, value in block.items():
+        _check(key in own or key in ga, f"unknown key {key!r} in the {algo} "
+               f"block; expected one of {sorted({**own, **ga})}")
+        default = own[key] if key in own else ga[key]  # a float or an int
+        is_type = _is_real if isinstance(default, float) else _is_int
+        _check(is_type(value),
+               f"{algo}.{key} must be {type(default).__name__}, got {value!r}")
+    kwargs = {k: v for k, v in block.items() if k in own}
+    sweep = {spec.rs: rs, spec.budget: total_eval}
+    kwargs.update({k: v for k, v in sweep.items() if v is not None})
+    try:
+        if ga:
+            kwargs["ga"] = GaParams(**{k: v for k, v in block.items() if k in ga})
+        return spec.config(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{algo} block: {exc}") from None
 
 
 def _build_function(cfg):
-    return benchmarks.make_function(
-        cfg.function, cfg.dimension, cfg.rastrigin_constant
-    )
+    return benchmarks.make_function(cfg.function, cfg.dimension, cfg.rastrigin_constant)
+
+
+def _total_eval(cfg):
+    return cfg.total_eval or default_total_eval(cfg.function, cfg.algo)
+
+
+def resolved_settings(cfg):
+    """What ``cfg``'s runs use where it leaves a default: ``dimension``,
+    ``total_eval`` and the selected algo's block with every key it accepts."""
+    own, ga = _block_keys(cfg.algo)
+    return {
+        "dimension": _build_function(cfg).dimension,
+        "total_eval": _total_eval(cfg),
+        cfg.algo: {**ga, **own, **cfg.params.get(cfg.algo, {})},
+    }
 
 
 def run_single(cfg, sigma, rs, seed):
     """Execute one seeded run of the configured algorithm."""
     fn = _build_function(cfg)
     noise = benchmarks.NoiseModel(0.0, sigma if cfg.noisy else 0.0)
-    total_eval = cfg.total_eval or default_total_eval(cfg.function, cfg.algo)
+    params = build_params(cfg.algo, cfg.params.get(cfg.algo, {}), rs, _total_eval(cfg))
     rng = RngState(seed)
-    reg = cfg.params.get("regression", {})
 
     start = time.perf_counter()
-    if cfg.algo == "dpsea":
-        opts = dict(cfg.params.get("dpsea", {}))
-        ga = _ga_params(opts)
-        keys = {"t_switch", "max_clusters", "radius_fraction", "kappa",
-                "s_min", "staleness_limit"}
-        kwargs = {k: v for k, v in opts.items() if k in keys}
-        params = engine.DpseaParams(
-            ga=ga,
-            rs_merge=rs,
-            max_total_eval=total_eval,
-            regression_lambda=reg.get("lambda", 1e-6),
-            quadratic_min_samples_factor=reg.get("quadratic_min_samples_factor", 1.0),
-            **kwargs,
-        )
-        result = engine.run(fn, noise, params, rng)
-    elif cfg.algo == "cga":
-        ga = _ga_params(cfg.params.get("cga", {}))
-        result = baselines.run_cga(
-            fn, noise, baselines.CgaConfig(ga=ga, rs=rs, total_eval=total_eval), rng
-        )
-    elif cfg.algo == "de":
-        opts = cfg.params.get("de", {})
-        dcfg = baselines.DeConfig(
-            pop_size=opts.get("pop_size", 50),
-            cf=opts.get("cf", 0.8),
-            f_scale=opts.get("f_scale", 0.5),
-            rs=rs,
-            total_eval=total_eval,
-        )
-        result = baselines.run_de(fn, noise, dcfg, rng)
-    else:
-        opts = cfg.params.get("pso", {})
-        pcfg = baselines.PsoConfig(
-            pop_size=opts.get("pop_size", 20),
-            w_start=opts.get("w_start", 1.0),
-            w_end=opts.get("w_end", 0.7),
-            phi_min=opts.get("phi_min", 0.0),
-            phi_max=opts.get("phi_max", 2.0),
-            rs=rs,
-            total_eval=total_eval,
-        )
-        result = baselines.run_pso(fn, noise, pcfg, rng)
+    spec = REGISTRY[cfg.algo]
+    result = getattr(spec.module, spec.runner)(fn, noise, params, rng)
     wall_ms = (time.perf_counter() - start) * 1000.0
 
     _, opt_value = benchmarks.optimum(fn)
-    eps = cfg.epsilon.get(cfg.function, DEFAULT_EPSILON[cfg.function])
     return RunRecord(
         function=cfg.function,
         dimension=fn.dimension,
@@ -224,7 +281,7 @@ def run_single(cfg, sigma, rs, seed):
         seed=int(seed),
         best_true_fitness=float(result.best_fitness),
         total_eval=int(result.budget.total_eval),
-        success=bool(result.best_fitness - opt_value <= eps),
+        success=bool(result.best_fitness - opt_value <= cfg.epsilon[cfg.function]),
         wall_ms=wall_ms,
     ), result
 
@@ -242,13 +299,9 @@ def worker_count():
     Raises ``ConfigError`` unless the value is a non-negative integer.
     """
     text = os.environ.get("DPSEA_THREADS", "").strip()
-    if not text:
-        return 0
-    if not (text.isascii() and text.isdigit()):
-        raise ConfigError(
-            f"DPSEA_THREADS must be a non-negative integer, got {text!r}"
-        )
-    return int(text)
+    _check(not text or (text.isascii() and text.isdigit()),
+           f"DPSEA_THREADS must be a non-negative integer, got {text!r}")
+    return int(text or 0)
 
 
 def run_experiment(cfg):
@@ -271,39 +324,32 @@ def run_experiment(cfg):
     return [_run_cell(job) for job in jobs]
 
 
-def summarize(records):
-    """Mean and sample standard deviation of best true fitness per cell."""
+def _cells(records, key):
     cells = {}
     for r in records:
-        cells.setdefault((r.sigma, r.rs), []).append(r)
+        cells.setdefault(key(r), []).append(r)
+    return sorted(cells.items())
+
+
+def summarize(records):
+    """Mean and sample standard deviation of best true fitness per cell."""
     out = []
-    for (sigma, rs) in sorted(cells):
-        rows = cells[(sigma, rs)]
+    for (sigma, rs), rows in _cells(records, lambda r: (r.sigma, r.rs)):
         vals = [r.best_true_fitness for r in rows]
         n = len(vals)
         mean = sum(vals) / n
-        if n > 1:
-            var = sum((v - mean) ** 2 for v in vals) / (n - 1)
-            std = var ** 0.5
-        else:
-            std = 0.0
-        out.append(
-            Summary(rows[0].function, rows[0].algo, sigma, rs, n, mean, std)
-        )
+        std = (sum((v - mean) ** 2 for v in vals) / (n - 1)) ** 0.5 if n > 1 else 0.0
+        out.append(Summary(rows[0].function, rows[0].algo, sigma, rs, n, mean, std))
     return out
 
 
-def success_rate(records, epsilon, optimum_value):
-    """Integer success percentage per sigma level."""
-    cells = {}
-    for r in records:
-        cells.setdefault(r.sigma, []).append(r)
+def success_rate(records, epsilon=None, optimum_value=0.0):
+    """Integer success percentage per sigma level: of the ``success`` flags
+    the runs recorded, or, given ``epsilon``, of best - optimum <= epsilon."""
     out = {}
-    for sigma in sorted(cells):
-        rows = cells[sigma]
-        wins = sum(
-            1 for r in rows if r.best_true_fitness - optimum_value <= epsilon
-        )
+    for sigma, rows in _cells(records, lambda r: r.sigma):
+        wins = sum(r.success if epsilon is None
+                   else r.best_true_fitness - optimum_value <= epsilon for r in rows)
         out[sigma] = round(100.0 * wins / len(rows))
     return out
 
@@ -323,63 +369,43 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
+def csv_text(cls, rows):
+    """CSV of dataclass ``rows``, one column per field of ``cls``."""
+    cols = [f.name for f in fields(cls)]
+    lines = [",".join(cols)]
+    lines += [",".join(_fmt(getattr(r, c)) for c in cols) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def emit(records, summaries, fmt, out_dir):
     """Write runs.{csv,json} and summary.{csv,json} atomically.
 
     Returns the paths written. Raises ``OSError`` when the output path is
     not writable; no partial files are left behind.
     """
+    _check(fmt in ("csv", "json"), f"unknown output format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    if fmt == "csv":
-        lines = [",".join(RUNS_COLUMNS)]
-        for r in records:
-            row = asdict(r)
-            lines.append(",".join(_fmt(row[c]) for c in RUNS_COLUMNS))
-        runs_path = os.path.join(out_dir, "runs.csv")
-        _atomic_write(runs_path, "\n".join(lines) + "\n")
-        paths.append(runs_path)
-
-        cols = ["function", "algo", "sigma", "rs", "n",
-                "mean_best_true_fitness", "std_best_true_fitness"]
-        lines = [",".join(cols)]
-        for s in summaries:
-            row = asdict(s)
-            lines.append(",".join(_fmt(row[c]) for c in cols))
-        summary_path = os.path.join(out_dir, "summary.csv")
-        _atomic_write(summary_path, "\n".join(lines) + "\n")
-        paths.append(summary_path)
-    elif fmt == "json":
-        runs_path = os.path.join(out_dir, "runs.json")
-        _atomic_write(runs_path, json.dumps([asdict(r) for r in records], indent=2))
-        paths.append(runs_path)
-        summary_path = os.path.join(out_dir, "summary.json")
-        _atomic_write(summary_path, json.dumps([asdict(s) for s in summaries], indent=2))
-        paths.append(summary_path)
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+    for name, cls, rows in (("runs", RunRecord, records),
+                            ("summary", Summary, summaries)):
+        path = os.path.join(out_dir, f"{name}.{fmt}")
+        if fmt == "csv":
+            _atomic_write(path, csv_text(cls, rows))
+        else:
+            _atomic_write(path, json.dumps([asdict(r) for r in rows], indent=2))
+        paths.append(path)
     return paths
+
+
+# RunRecord field type (an annotation string) -> parser of its CSV text
+_PARSE = {"str": str, "int": int, "float": float, "bool": lambda t: t == "true"}
 
 
 def parse_runs_csv(path):
     """Read runs.csv back into RunRecord objects (round-trip of emit)."""
-    records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                RunRecord(
-                    function=row["function"],
-                    dimension=int(row["dimension"]),
-                    noisy=row["noisy"] == "true",
-                    sigma=float(row["sigma"]),
-                    algo=row["algo"],
-                    rs=int(row["rs"]),
-                    repeat=int(row["repeat"]),
-                    seed=int(row["seed"]),
-                    best_true_fitness=float(row["best_true_fitness"]),
-                    total_eval=int(row["total_eval"]),
-                    success=row["success"] == "true",
-                    wall_ms=float(row["wall_ms"]),
-                )
-            )
-    return records
+        return [
+            RunRecord(**{f.name: _PARSE[f.type](row[f.name])
+                         for f in fields(RunRecord)})
+            for row in csv.DictReader(fh)
+        ]

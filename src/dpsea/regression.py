@@ -57,7 +57,7 @@ class RegressionModel:
         return self.center.shape[0]
 
 
-def select_kind(sample_count, d, quadratic_min_samples_factor=1.0):
+def select_kind(sample_count, d, quadratic_min_samples_factor):
     """Richest basis the sample count supports.
 
     Diagonal quadratic needs ``factor * (2D + 2)`` samples, linear needs
@@ -101,7 +101,7 @@ def design_matrix(xs, kind):
     return a, center, scale
 
 
-def fit(xs, ys, kind, lam=1e-6, *, basis=None):
+def fit(xs, ys, kind, lam, *, basis=None):
     """Ridge least-squares fit of the chosen basis.
 
     Minimizes ``sum((y - model(x))^2) + lam * ||beta||^2`` with the
@@ -137,7 +137,7 @@ def fit(xs, ys, kind, lam=1e-6, *, basis=None):
     return RegressionModel(kind, coef, float(lam), center, scale)
 
 
-def loo_rank_correlation(xs, ys, kind, lam=1e-6, *, basis=None):
+def loo_rank_correlation(xs, ys, kind, lam, *, basis=None):
     """Spearman correlation between leave-one-out predictions and ``ys``.
 
     Each sample is predicted by the same ridge fit as ``fit`` made on the

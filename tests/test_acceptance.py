@@ -27,6 +27,8 @@ from dpsea.stochastics import Budget, RngState, resampled_fitness
 
 from test_regression import oracle_fit
 
+pytestmark = pytest.mark.acceptance
+
 
 def dpsea_best(fn, sigma, cap, seed, rs=1):
     params = DpseaParams(max_total_eval=cap, rs_merge=rs)

@@ -137,17 +137,17 @@ class TestDe:
 
 class TestInertiaWeight:
     def test_endpoints(self):
-        assert inertia_weight(0, 10) == 1.0
-        assert inertia_weight(9, 10) == pytest.approx(0.7)
+        assert inertia_weight(0, 10, 1.0, 0.7) == 1.0
+        assert inertia_weight(9, 10, 1.0, 0.7) == pytest.approx(0.7)
 
     def test_midpoint(self):
-        assert inertia_weight(5, 11) == pytest.approx(0.85)
+        assert inertia_weight(5, 11, 1.0, 0.7) == pytest.approx(0.85)
 
     def test_single_iteration(self):
-        assert inertia_weight(0, 1) == 1.0
+        assert inertia_weight(0, 1, 1.0, 0.7) == 1.0
 
     def test_monotone_decreasing(self):
-        ws = [inertia_weight(i, 20) for i in range(20)]
+        ws = [inertia_weight(i, 20, 1.0, 0.7) for i in range(20)]
         assert all(b <= a for a, b in zip(ws, ws[1:]))
 
 

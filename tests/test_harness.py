@@ -1,10 +1,12 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from dpsea import cli, harness
+from dpsea.ga import GaParams
 from dpsea.harness import (
     ConfigError,
     ExperimentConfig,
@@ -64,11 +66,55 @@ class TestConfigValidation:
             {"rs_list": ()},
             {"sigmas": (-0.1,)},
             {"rs_list": (0,)},
+            {"sigmas": "abc"},
+            {"total_eval": 0},
+            {"dimension": 0},
+            {"epsilon": {"nope": 1.0}},
+            {"params": {"regression": {"lambda": 1e-4}}},
+            {"params": {"de": {"pop_size": 3}}},
+            {"params": {"dpsea": {"pop_size": "20"}}},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             tiny_config(**kwargs)
+
+
+class TestBuildParams:
+    def test_ga_keys_go_into_ga_and_sweep_fields_are_set(self):
+        params = harness.build_params(
+            "dpsea", {"pop_size": 40, "n_elites": 4, "t_switch": 3,
+                      "regression_lambda": 1e-4}, rs=5, total_eval=7_000)
+        assert params.ga == GaParams(pop_size=40, n_elites=4)
+        assert (params.t_switch, params.regression_lambda) == (3, 1e-4)
+        assert (params.rs_merge, params.max_total_eval) == (5, 7_000)
+        de = harness.build_params("de", {"pop_size": 8}, rs=2, total_eval=900)
+        assert (de.pop_size, de.rs, de.total_eval) == (8, 2, 900)
+
+    def test_accepted_keys(self):
+        ga = {"pop_size", "p_c", "p_m", "n_elites", "sigma_m"}
+        expected = {
+            "dpsea": ga | {"t_switch", "max_clusters", "radius_fraction", "kappa",
+                           "s_min", "staleness_limit", "regression_lambda",
+                           "quadratic_min_samples_factor"},
+            "cga": ga,
+            "de": {"pop_size", "cf", "f_scale"},
+            "pso": {"pop_size", "w_start", "w_end", "phi_min", "phi_max"},
+        }
+        for algo, keys in expected.items():
+            own, ga_keys = harness._block_keys(algo)
+            assert set(own) | set(ga_keys) == keys
+
+    @pytest.mark.parametrize("algo", harness.ALGOS)
+    def test_sweep_fields_are_not_block_keys(self, algo):
+        spec = harness.REGISTRY[algo]
+        for key in ("ga", spec.rs, spec.budget):
+            with pytest.raises(ConfigError, match=repr(key)):
+                harness.build_params(algo, {key: 1})
+
+    def test_post_init_errors_become_config_errors(self):
+        with pytest.raises(ConfigError, match="dpsea block: s_min"):
+            harness.build_params("dpsea", {"s_min": 1000})
 
 
 class TestSeeds:
@@ -344,9 +390,12 @@ class TestCli:
         assert not file_out.exists()
         echo = json.loads((tmp_path / "res" / "config.json").read_text())
         assert echo == {
-            "function": "sphere", "dimension": None, "noisy": True,
+            "function": "sphere", "dimension": 5, "noisy": True,
             "sigma": [0.0], "algo": "cga", "rs": [1], "repeats": 1,
-            "seed": 3, "total_eval": 2000, "format": "csv",
+            "seed": 3, "total_eval": 2000, "rastrigin_constant": None,
+            "cga": asdict(GaParams()),
+            "success": {"epsilon": harness.DEFAULT_EPSILON},
+            "format": "csv",
         }
         plain = str(tmp_path / "plain")
         self.run_cli(self.base_args(plain), capsys)
@@ -370,6 +419,91 @@ class TestCli:
         assert err.splitlines() == [err.strip()]
         assert err.startswith("error: invalid configuration: DPSEA_THREADS")
         assert not out.exists()
+
+    @pytest.mark.parametrize("algo, key", [
+        ("dpsea", "t_swich"), ("cga", "pop_sise"), ("de", "f_scal"),
+        ("pso", "w_strat"),
+    ])
+    def test_unknown_block_key_exits_1(self, algo, key, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"algo": algo, algo: {key: 3}}))
+        out = tmp_path / "o"
+        code, _, err = self.run_cli(
+            ["run", "--config", str(path), "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert repr(key) in err and f"{algo} block" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        {"success": [1]},
+        {"success": {"epsilon": {"nope": 1.0}}},
+        {"success": {"epsilon": {"sphere": "tight"}}},
+        {"success": {"eps": {"sphere": 1.0}}},
+        {"sigma": "abc"},
+        {"sigma": 0.5},
+        {"dpsea": 5},
+        {"dimension": 0},
+        {"de": {"pop_size": 3}},
+        {"dpsea": {"s_min": 1000}},
+        {"regression": {"lambda": 1e-4}},
+        {"format": "yaml"},
+    ])
+    def test_malformed_value_exits_1_before_any_run(
+        self, bad, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "algo": "cga", "function": "sphere", "sigma": [0.0], "rs": [1],
+            "repeats": 1, "seed": 3, "total_eval": 2000, **bad,
+        }))
+        out = tmp_path / "res"
+        code, _, err = self.run_cli(
+            ["run", "--config", str(path), "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: invalid configuration:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo, block", [
+        ("dpsea", {"t_switch": 3, "pop_size": 30, "n_elites": 3,
+                   "regression_lambda": 1e-4}),
+        ("cga", {"pop_size": 30, "n_elites": 3, "p_m": 0.2}),
+        ("de", {"pop_size": 20, "cf": 0.7, "f_scale": 0.6}),
+        ("pso", {"pop_size": 15, "w_start": 0.9, "w_end": 0.5}),
+    ])
+    def test_echoed_config_reproduces_the_run(self, algo, block, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "algo": algo, "function": "rastrigin1", "dimension": 5,
+            "rastrigin_constant": 7.5, "sigma": [0.0, 0.5], "rs": [2],
+            "repeats": 1, "seed": 11, "total_eval": 3000, algo: block,
+            "success": {"epsilon": {"rastrigin1": 40.0}},
+        }))
+        first, again = tmp_path / "first", tmp_path / "again"
+        code, _, err = self.run_cli(
+            ["run", "--config", str(path), "--out", str(first)], capsys
+        )
+        assert code == 0, err
+        code, _, err = self.run_cli(
+            ["run", "--config", str(first / "config.json"), "--out", str(again)],
+            capsys,
+        )
+        assert code == 0, err
+        trim = lambda path: [ln.rsplit(",", 1)[0]
+                             for ln in path.read_text().splitlines()]
+        assert trim(first / "runs.csv") == trim(again / "runs.csv")
+        assert (first / "config.json").read_bytes() == (
+            again / "config.json").read_bytes()
+        echo = json.loads((first / "config.json").read_text())
+        assert {k: echo[algo][k] for k in block} == block
+        assert echo["success"]["epsilon"]["rastrigin1"] == 40.0
+        assert echo["rastrigin_constant"] == 7.5
 
     def test_config_echo_written_atomically(self, tmp_path, capsys, monkeypatch):
         written = []
@@ -427,6 +561,19 @@ class TestCli:
         )
         assert code == 0
         assert stdout.splitlines()[1].endswith(",100")
+
+    def test_success_counts_the_recorded_flags(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"success": {"epsilon": {"sphere": 1e30}}}))
+        out = str(tmp_path / "res")
+        code, _, err = self.run_cli(
+            self.base_args(out) + ["--config", str(path)], capsys
+        )
+        assert code == 0, err
+        assert parse_runs_csv(os.path.join(out, "runs.csv"))[0].success
+        code, stdout, _ = self.run_cli(["success", "--in", out], capsys)
+        assert code == 0
+        assert stdout.splitlines() == ["sigma,success_pct", "0.0,100"]
 
     def test_summarize_missing_dir_exits_1(self, tmp_path, capsys):
         code, _, err = self.run_cli(

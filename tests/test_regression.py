@@ -53,11 +53,11 @@ def oracle_fit(xs, ys, kind, lam):
 class TestSelectKind:
     def test_thresholds(self):
         d = 5
-        assert select_kind(2 * d + 2, d) is ModelKind.DIAG_QUADRATIC
-        assert select_kind(2 * d + 1, d) is ModelKind.LINEAR
-        assert select_kind(d + 2, d) is ModelKind.LINEAR
-        assert select_kind(d + 1, d) is ModelKind.CONSTANT
-        assert select_kind(1, d) is ModelKind.CONSTANT
+        assert select_kind(2 * d + 2, d, 1.0) is ModelKind.DIAG_QUADRATIC
+        assert select_kind(2 * d + 1, d, 1.0) is ModelKind.LINEAR
+        assert select_kind(d + 2, d, 1.0) is ModelKind.LINEAR
+        assert select_kind(d + 1, d, 1.0) is ModelKind.CONSTANT
+        assert select_kind(1, d, 1.0) is ModelKind.CONSTANT
 
     def test_factor_raises_quadratic_bar(self):
         d = 5
@@ -66,7 +66,7 @@ class TestSelectKind:
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            select_kind(0, 3)
+            select_kind(0, 3, 1.0)
 
 
 class TestExactRecovery:
@@ -247,33 +247,33 @@ class TestLooRankCorrelation:
         rng = np.random.default_rng(13)
         xs = rng.uniform(-3, 3, (40, 4))
         ys = np.sum((xs - 1.0) ** 2, axis=1)
-        assert loo_rank_correlation(xs, ys, ModelKind.DIAG_QUADRATIC) == pytest.approx(1.0)
+        assert loo_rank_correlation(xs, ys, ModelKind.DIAG_QUADRATIC, 1e-6) == pytest.approx(1.0)
 
     def test_constant_model_ranks_backwards(self):
         rng = np.random.default_rng(14)
         xs = rng.uniform(-1, 1, (10, 2))
         ys = rng.normal(size=10)
-        assert loo_rank_correlation(xs, ys, ModelKind.CONSTANT) == pytest.approx(-1.0)
+        assert loo_rank_correlation(xs, ys, ModelKind.CONSTANT, 1e-6) == pytest.approx(-1.0)
 
 
 class TestValidation:
     def test_shape_errors(self):
         with pytest.raises(ValueError):
-            fit(np.zeros((3,)), np.zeros(3), ModelKind.CONSTANT)
+            fit(np.zeros((3,)), np.zeros(3), ModelKind.CONSTANT, 1e-6)
         with pytest.raises(ValueError):
-            fit(np.zeros((3, 2)), np.zeros(4), ModelKind.CONSTANT)
+            fit(np.zeros((3, 2)), np.zeros(4), ModelKind.CONSTANT, 1e-6)
 
     def test_non_finite_rejected(self):
         xs = np.zeros((3, 2))
         ys = np.array([1.0, np.nan, 2.0])
         with pytest.raises(ValueError):
-            fit(xs, ys, ModelKind.CONSTANT)
+            fit(xs, ys, ModelKind.CONSTANT, 1e-6)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             fit(np.zeros((3, 1)), np.zeros(3), ModelKind.CONSTANT, lam=-1.0)
 
     def test_predict_dimension_checked(self):
-        model = fit(np.zeros((3, 2)), np.zeros(3), ModelKind.CONSTANT)
+        model = fit(np.zeros((3, 2)), np.zeros(3), ModelKind.CONSTANT, 1e-6)
         with pytest.raises(ValueError):
             predict(model, np.zeros(3))
