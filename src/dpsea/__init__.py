@@ -8,7 +8,6 @@ from .benchmarks import (
     NoiseModel,
     evaluate,
     make_function,
-    noisy_evaluate,
     optimum,
 )
 from .baselines import CgaConfig, DeConfig, PsoConfig, run_cga, run_de, run_pso
@@ -16,7 +15,7 @@ from .engine import DpseaParams, PseudoPopulation, run
 from .ga import GaParams
 from .regression import ModelKind, RegressionModel, fit, predict, select_kind
 from .results import CycleRecord, RunResult
-from .stochastics import Budget, RngState, gaussian, resampled_fitness
+from .stochastics import Budget, RngState, resampled_fitness
 
 __version__ = "0.1.0"
 
@@ -25,7 +24,6 @@ __all__ = [
     "NoiseModel",
     "evaluate",
     "make_function",
-    "noisy_evaluate",
     "optimum",
     "CgaConfig",
     "DeConfig",
@@ -46,6 +44,5 @@ __all__ = [
     "RunResult",
     "Budget",
     "RngState",
-    "gaussian",
     "resampled_fitness",
 ]

@@ -2,9 +2,10 @@
 
 All three follow the same schedule: the total number of evaluations is
 held constant by running ``total_it = total_eval // (pop_size * rs)``
-iterations, the first of which scores the initial population. Results are
-always reported as the best solution found, scored by the true
-(noiseless) fitness.
+iterations, the first of which scores the initial population; a config
+whose budget cannot pay for that first iteration is rejected on
+construction. Results are always reported as the best solution found,
+scored by the true (noiseless) fitness.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import benchmarks
 from .ga import GaParams, evolve_generation
-from .results import CycleRecord, RunResult
-from .stochastics import Budget, resample_many
+from .results import BestSoFar, CycleRecord
+from .stochastics import Budget, check_budget, resample_many
 
 __all__ = ["CgaConfig", "DeConfig", "PsoConfig", "run_cga", "run_de", "run_pso",
            "inertia_weight"]
@@ -27,6 +27,9 @@ class CgaConfig:
     ga: GaParams = field(default_factory=GaParams)
     rs: int = 1
     total_eval: int = 100_000
+
+    def __post_init__(self):
+        check_budget(self.total_eval, self.ga.pop_size, self.rs)
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,7 @@ class DeConfig:
             raise ValueError("DE needs pop_size >= 4")
         if not 0.0 <= self.cf <= 1.0:
             raise ValueError("cf must be in [0, 1]")
+        check_budget(self.total_eval, self.pop_size, self.rs)
 
 
 @dataclass(frozen=True)
@@ -59,46 +63,21 @@ class PsoConfig:
             raise ValueError("w_end must not exceed w_start")
         if self.phi_min > self.phi_max:
             raise ValueError("phi_min must not exceed phi_max")
-
-
-def _total_it(total_eval, pop_size, rs):
-    total_it = total_eval // (pop_size * rs)
-    if total_it < 1:
-        raise ValueError(
-            f"budget {total_eval} cannot cover one iteration of "
-            f"pop_size={pop_size} at rs={rs}"
-        )
-    return total_it
-
-
-class _BestTracker:
-    """Running minimum of true fitness over every evaluated genome."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.best_genome = None
-        self.best_fitness = np.inf
-
-    def update(self, xs):
-        tv = benchmarks.evaluate_many(self.fn, xs)
-        i = int(np.argmin(tv))
-        if tv[i] < self.best_fitness:
-            self.best_fitness = float(tv[i])
-            self.best_genome = np.array(xs[i], copy=True)
+        check_budget(self.total_eval, self.pop_size, self.rs)
 
 
 def run_cga(fn, noise, cfg, rng):
     """Generational real-coded GA with elitism and resampled fitness."""
-    total_it = _total_it(cfg.total_eval, cfg.ga.pop_size, cfg.rs)
+    total_it = cfg.total_eval // (cfg.ga.pop_size * cfg.rs)
     budget = Budget(pop_size=cfg.ga.pop_size, total_it=total_it, rs=cfg.rs)
     lo, hi = fn.bounds
-    tracker = _BestTracker(fn)
+    best = BestSoFar(fn)
 
     genomes = rng.uniform(lo, hi, (cfg.ga.pop_size, fn.dimension))
     vals = resample_many(fn, genomes, cfg.rs, noise, rng, budget)
-    tracker.update(genomes)
+    best.update(genomes)
 
-    trace = [CycleRecord(0, budget.total_eval, tracker.best_fitness)]
+    trace = [CycleRecord(0, budget.total_eval, best.best_fitness)]
     for it in range(1, total_it):
         genomes, vals, _ = evolve_generation(
             genomes,
@@ -109,9 +88,9 @@ def run_cga(fn, noise, cfg, rng):
             lambda xs: resample_many(fn, xs, cfg.rs, noise, rng, budget),
         )
         budget.skip(cfg.ga.n_elites * cfg.rs)
-        tracker.update(genomes[cfg.ga.n_elites :])
-        trace.append(CycleRecord(it, budget.total_eval, tracker.best_fitness))
-    return RunResult(tracker.best_genome, tracker.best_fitness, budget, trace)
+        best.update(genomes[cfg.ga.n_elites :])
+        trace.append(CycleRecord(it, budget.total_eval, best.best_fitness))
+    return best.result(budget, trace)
 
 
 def _distinct_triples(n, rng):
@@ -134,17 +113,17 @@ def _distinct_triples(n, rng):
 
 def run_de(fn, noise, cfg, rng):
     """DE/rand/1/bin with greedy selection on resampled noisy fitness."""
-    total_it = _total_it(cfg.total_eval, cfg.pop_size, cfg.rs)
+    total_it = cfg.total_eval // (cfg.pop_size * cfg.rs)
     budget = Budget(pop_size=cfg.pop_size, total_it=total_it, rs=cfg.rs)
     lo, hi = fn.bounds
     n, d = cfg.pop_size, fn.dimension
-    tracker = _BestTracker(fn)
+    best = BestSoFar(fn)
 
     xs = rng.uniform(lo, hi, (n, d))
     fs = resample_many(fn, xs, cfg.rs, noise, rng, budget)
-    tracker.update(xs)
+    best.update(xs)
 
-    trace = [CycleRecord(0, budget.total_eval, tracker.best_fitness)]
+    trace = [CycleRecord(0, budget.total_eval, best.best_fitness)]
     for it in range(1, total_it):
         r = _distinct_triples(n, rng)
         mutant = xs[r[:, 0]] + cfg.f_scale * (xs[r[:, 1]] - xs[r[:, 2]])
@@ -157,9 +136,9 @@ def run_de(fn, noise, cfg, rng):
         better = tf <= fs
         xs[better] = trial[better]
         fs[better] = tf[better]
-        tracker.update(trial)
-        trace.append(CycleRecord(it, budget.total_eval, tracker.best_fitness))
-    return RunResult(tracker.best_genome, tracker.best_fitness, budget, trace)
+        best.update(trial)
+        trace.append(CycleRecord(it, budget.total_eval, best.best_fitness))
+    return best.result(budget, trace)
 
 
 def inertia_weight(it, total_it, w_start, w_end):
@@ -171,11 +150,11 @@ def inertia_weight(it, total_it, w_start, w_end):
 
 def run_pso(fn, noise, cfg, rng):
     """Synchronous PSO with per-dimension random velocity weights."""
-    total_it = _total_it(cfg.total_eval, cfg.pop_size, cfg.rs)
+    total_it = cfg.total_eval // (cfg.pop_size * cfg.rs)
     budget = Budget(pop_size=cfg.pop_size, total_it=total_it, rs=cfg.rs)
     lo, hi = fn.bounds
     n, d = cfg.pop_size, fn.dimension
-    tracker = _BestTracker(fn)
+    best = BestSoFar(fn)
 
     xs = rng.uniform(lo, hi, (n, d))
     vs = np.zeros((n, d))
@@ -185,9 +164,9 @@ def run_pso(fn, noise, cfg, rng):
     g = int(np.argmin(fs))
     gbest = xs[g].copy()
     gbest_f = float(fs[g])
-    tracker.update(xs)
+    best.update(xs)
 
-    trace = [CycleRecord(0, budget.total_eval, tracker.best_fitness)]
+    trace = [CycleRecord(0, budget.total_eval, best.best_fitness)]
     for it in range(1, total_it):
         w = inertia_weight(it, total_it, cfg.w_start, cfg.w_end)
         phi1 = rng.uniform(cfg.phi_min, cfg.phi_max, (n, d))
@@ -202,6 +181,6 @@ def run_pso(fn, noise, cfg, rng):
         if pbest_f[g] < gbest_f:
             gbest_f = float(pbest_f[g])
             gbest = pbest[g].copy()
-        tracker.update(xs)
-        trace.append(CycleRecord(it, budget.total_eval, tracker.best_fitness))
-    return RunResult(tracker.best_genome, tracker.best_fitness, budget, trace)
+        best.update(xs)
+        trace.append(CycleRecord(it, budget.total_eval, best.best_fitness))
+    return best.result(budget, trace)

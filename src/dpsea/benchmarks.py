@@ -1,9 +1,10 @@
-"""Benchmark test problems and their additive-Gaussian noisy wrappers.
+"""Benchmark test problems and their additive-Gaussian noise model.
 
 Four classic minimization problems: 5-D sphere, 50-D Griewank (optimum
 shifted to 100), 50-D Rastrigin variant with an additive constant, and
 50-D Rosenbrock. Dimensions are configurable; bounds are uniform per
-coordinate. The noisy wrapper adds location-independent Gaussian noise.
+coordinate. ``NoiseModel`` describes location-independent Gaussian noise;
+``stochastics.resample_many`` applies it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "make_function",
     "evaluate",
     "evaluate_many",
-    "noisy_evaluate",
     "optimum",
 ]
 
@@ -115,14 +115,6 @@ def evaluate(fn, x):
     if x.ndim != 1 or x.shape[0] != fn.dimension:
         raise ValueError(f"expected a length-{fn.dimension} vector, got shape {x.shape}")
     return float(evaluate_many(fn, x[None, :])[0])
-
-
-def noisy_evaluate(fn, x, noise, rng):
-    """True fitness plus one Gaussian draw; advances ``rng`` when sigma > 0."""
-    base = evaluate(fn, x)
-    if noise.sigma == 0.0:
-        return base + noise.mu
-    return base + float(rng.normal(noise.mu, noise.sigma))
 
 
 def optimum(fn):

@@ -140,24 +140,37 @@ def _read_records(in_dir):
     return records
 
 
+def _recorded_function(in_dir):
+    """The run's function, from its config.json: runs.csv lacks rastrigin_constant."""
+    path = os.path.join(in_dir, "config.json")
+    if not os.path.exists(path):
+        raise ConfigError(f"--epsilon needs the run's config.json; none under {in_dir}")
+    with open(path, encoding="utf-8") as fh:
+        echo = json.load(fh)
+    keys = ("function", "dimension", "rastrigin_constant")
+    if not isinstance(echo, dict) or not all(k in echo for k in keys):
+        raise ConfigError(f"{path} must hold the keys {keys}")
+    return benchmarks.make_function(*(echo[k] for k in keys))
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
+    epsilon = getattr(args, "epsilon", None)
     try:
         records = _read_records(args.in_dir)
-    except (ConfigError, OSError) as exc:
+        opt_value = 0.0
+        if epsilon is not None:
+            _, opt_value = benchmarks.optimum(_recorded_function(args.in_dir))
+    except (ValueError, OSError) as exc:  # ConfigError and bad JSON included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.command == "summarize":
         print(harness.csv_text(harness.Summary, harness.summarize(records)), end="")
         return 0
-    opt_value = 0.0
-    if args.epsilon is not None:
-        fn = benchmarks.make_function(records[0].function, records[0].dimension)
-        _, opt_value = benchmarks.optimum(fn)
     print("sigma,success_pct")
-    for sigma, pct in harness.success_rate(records, args.epsilon, opt_value).items():
+    for sigma, pct in harness.success_rate(records, epsilon, opt_value).items():
         print(f"{sigma!r},{pct}")
     return 0
 

@@ -9,6 +9,9 @@ model's leave-one-out fidelity earns. At each switching step the clusters
 merge back, true fitness is resampled, and the population re-dissolves.
 Clusters that stay non-eligible for too many consecutive cycles are
 replaced by fresh random individuals.
+``run`` fits each eligible cluster's surrogate before its pseudo
+generations, and ends when the next main generation or merge would overrun
+``max_total_eval`` (``merge_and_resample`` then returns ``None``).
 
 The population is a ``ga.Population`` of arrays. Each cluster holds its
 members as a ``Population`` of its own (rows copied from the dissolved
@@ -23,11 +26,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _blas, benchmarks, regression
+from . import _blas, regression
 from .ga import GaParams, Population
 from .regression import ModelKind, RegressionModel
-from .results import CycleRecord, RunResult
-from .stochastics import Budget, resample_many
+from .results import BestSoFar, CycleRecord
+from .stochastics import Budget, check_budget, resample_many
 
 __all__ = [
     "PseudoPopulation",
@@ -61,13 +64,13 @@ class PseudoPopulation:
     seed_index: int
     archive: tuple[np.ndarray, np.ndarray]
     eligible: bool = False
-    staleness: int = 0
     model: RegressionModel | None = None
     fidelity: float = 0.0
 
     @property
-    def centroid(self):
-        return self.members.genomes.mean(axis=0)
+    def staleness(self):
+        """Consecutive non-eligible cycles, counted by the freshest member."""
+        return int(self.members.stale_cycles.min())
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,7 @@ class DpseaParams:
             raise ValueError("staleness_limit must be >= 1")
         if self.rs_merge < 1:
             raise ValueError("rs_merge must be >= 1")
+        check_budget(self.max_total_eval, self.ga.pop_size, self.rs_merge)
 
 
 # extra uniform samples in the initial design, in units of the 2D + 2
@@ -179,12 +183,10 @@ def assess_eligibility(clusters, params):
     A cluster is eligible iff it has at least ``s_min`` members and its
     best member ranks within the top ``ceil(kappa * n_clusters)`` clusters
     by best fitness (ties to lower seed index). Eligible clusters reset
-    their staleness; the rest age by one cycle, saturating at
-    ``staleness_limit``.
+    their members' ``stale_cycles``; the rest age by one cycle, saturating
+    at ``staleness_limit``.
     """
     n = len(clusters)
-    if n == 0:
-        return clusters
     best = [c.members.fitness.min() for c in clusters]
     ranking = sorted(range(n), key=lambda i: (best[i], clusters[i].seed_index))
     top = set(ranking[: math.ceil(params.kappa * n)])
@@ -195,7 +197,6 @@ def assess_eligibility(clusters, params):
             m.stale_cycles[:] = 0
         else:
             np.minimum(m.stale_cycles + 1, params.staleness_limit, out=m.stale_cycles)
-        c.staleness = int(m.stale_cycles.min())
     return clusters
 
 
@@ -219,18 +220,13 @@ def adaptive_mutation_rate(rank_fraction, cluster_size, params):
 def fit_surrogate(cluster, fn, params):
     """Fit the cluster's model on its archive and rate how well it ranks.
 
-    The basis is the richest the archive supports; an empty archive gives
-    a constant model of the members' fitness. ``fidelity`` is the leave-
-    one-out rank correlation of the fit on the archive, 0 when there is
-    no archive to check it on.
+    The basis is the richest the archive supports; an empty archive raises
+    ``ValueError`` (in ``run`` every cluster's seed is in the sample pool,
+    so its archive is never empty). ``fidelity`` is the leave-one-out rank
+    correlation of the fit on the archive.
     """
     xs, ys = cluster.archive
     lam = params.regression_lambda
-    if len(ys) == 0:
-        m = cluster.members
-        cluster.model = regression.fit(m.genomes, m.fitness, ModelKind.CONSTANT, lam)
-        cluster.fidelity = 0.0
-        return cluster
     kind = regression.select_kind(
         len(ys), fn.dimension, params.quadratic_min_samples_factor
     )
@@ -256,31 +252,28 @@ def surrogate_generations(cluster, params):
 def evolve_pseudo(cluster, fn, params, rng):
     """One regression-guided GA generation inside an eligible cluster.
 
-    Fits the cluster's surrogate from its archive on first use (the
-    archive is fixed between merges, so the fit is reused), then evolves
-    the members for one generation with fitness given by the model and
-    per-member adaptive mutation rates. The rates set how many genes
+    Evolves the members for one generation with fitness given by the
+    surrogate that ``fit_surrogate`` fitted on the cluster's archive (the
+    archive is fixed between merges, so one fit serves every generation),
+    and per-member adaptive mutation rates. The rates set how many genes
     mutate; the step itself is the absolute ``sqrt(ga.sigma_m)`` of
     ``GaParams``, not scaled to the domain or the cluster. Consumes zero
     true evaluations; within-cluster elitism keeps the current best member
     by fitness, which mixes measured and estimated values. Offspring are
-    not ``sampled``.
+    not ``sampled``. An ineligible or unfitted cluster raises ``ValueError``.
     """
-    if not cluster.eligible:
-        raise ValueError("only eligible pseudo-populations may evolve")
+    model = cluster.model
+    if not cluster.eligible or model is None:
+        raise ValueError("only eligible, fitted pseudo-populations may evolve")
     members = cluster.members
     size = len(members)
-
-    if cluster.model is None:
-        fit_surrogate(cluster, fn, params)
-    model = cluster.model
 
     order = np.argsort(members.fitness, kind="stable")
     fracs = np.arange(size) / (size - 1) if size > 1 else np.zeros(1)
     rates = np.empty(size)
     rates[order] = adaptive_mutation_rate(fracs, size, params)
 
-    n_elites = min(params.ga.n_elites, size - 1) if size > 1 else 0
+    n_elites = min(params.ga.n_elites, size - 1)
     local = replace(params.ga, pop_size=size, n_elites=n_elites)
     cluster.members = members.evolve(
         local,
@@ -298,49 +291,38 @@ def _random_individuals(fn, count, rng):
     return Population.new(genomes, np.full(count, math.nan), sampled=False)
 
 
-def _is_stale(cluster, params):
-    return cluster.staleness >= params.staleness_limit
-
-
-def merge_and_resample(clusters, fn, noise, rs_merge, rng, budget, params):
+def merge_and_resample(clusters, fn, noise, rng, budget, params):
     """Regain the main population and refresh fitness with true resampling.
 
     Clusters that hit the staleness limit are replaced wholesale by fresh
     uniform-random individuals; the rest contribute their members as-is,
-    cluster by cluster. Every member is then scored by resampled true
-    fitness except the ``exempt`` elites (``unchanged and sampled``), which
-    keep their fitness and accrue ``total_unchanged``.
+    cluster by cluster. The clusters must hold exactly ``pop_size``
+    members. Every member is then scored by ``rs_merge``-fold resampled
+    true fitness except the ``exempt`` elites (``unchanged and sampled``),
+    which keep their fitness and accrue ``total_unchanged``. When that
+    scoring would overrun ``max_total_eval``, returns ``None`` and charges
+    nothing.
     """
     parts = [
-        _random_individuals(fn, len(c.members), rng) if _is_stale(c, params)
-        else c.members
+        _random_individuals(fn, len(c.members), rng)
+        if c.staleness >= params.staleness_limit else c.members
         for c in clusters
     ]
-    n = sum(len(p) for p in parts)
-    if n < params.ga.pop_size:
-        parts.append(_random_individuals(fn, params.ga.pop_size - n, rng))
-    if n > params.ga.pop_size:
-        raise ValueError("clusters hold more members than the population size")
     pop = Population.concat(parts)
-
-    to_eval = np.flatnonzero(~pop.exempt)
-    budget.skip((len(pop) - len(to_eval)) * rs_merge)
-    if len(to_eval):
-        pop.fitness[to_eval] = resample_many(
-            fn, pop.genomes[to_eval], rs_merge, noise, rng, budget
+    if len(pop) != params.ga.pop_size:
+        raise ValueError(
+            f"clusters hold {len(pop)} members, not pop_size={params.ga.pop_size}"
         )
-        pop.sampled[to_eval] = True
-        pop.unchanged[to_eval] = False
+
+    rs = params.rs_merge
+    to_eval = np.flatnonzero(~pop.exempt)
+    if budget.total_eval + len(to_eval) * rs > params.max_total_eval:
+        return None
+    budget.skip((len(pop) - len(to_eval)) * rs)
+    pop.fitness[to_eval] = resample_many(fn, pop.genomes[to_eval], rs, noise, rng, budget)
+    pop.sampled[to_eval] = True
+    pop.unchanged[to_eval] = False
     return pop
-
-
-def _merge_eval_count(clusters, params):
-    """Evaluations the next merge will charge (exempt elites excluded)."""
-    total = sum(len(c.members) for c in clusters)
-    exempt = sum(
-        int(c.members.exempt.sum()) for c in clusters if not _is_stale(c, params)
-    )
-    return max(total, params.ga.pop_size) - exempt
 
 
 def initial_design(fn, noise, params, rng, budget):
@@ -395,19 +377,8 @@ def run(fn, noise, params, rng, budget=None):
     design_x, design_y = initial_design(fn, noise, params, rng, budget)
     keep = np.argsort(design_y, kind="stable")[: params.ga.pop_size]
     pop = Population.new(design_x[keep], design_y[keep], sampled=True)
-
-    true_vals = benchmarks.evaluate_many(fn, design_x)
-    best_i = int(np.argmin(true_vals))
-    best_genome = design_x[best_i].copy()
-    best_fitness = float(true_vals[best_i])
-
-    def track(xs):
-        nonlocal best_genome, best_fitness
-        tv = benchmarks.evaluate_many(fn, xs)
-        i = int(np.argmin(tv))
-        if tv[i] < best_fitness:
-            best_fitness = float(tv[i])
-            best_genome = xs[i].copy()
+    best = BestSoFar(fn)
+    best.update(design_x)
 
     # pool of (genome, resampled fitness) observations gathered since the
     # last dissolve; becomes the clusters' regression archives
@@ -415,11 +386,10 @@ def run(fn, noise, params, rng, budget=None):
     pool_y = [pop.fitness]
 
     trace = []
-    cycle = 0
-    cap = params.max_total_eval
     n_elites = params.ga.n_elites
     main_cost = (params.ga.pop_size - n_elites) * rs
-    while budget.total_eval + main_cost <= cap:
+    # a merge over the cap gives no population and ends the run
+    while pop is not None and budget.total_eval + main_cost <= params.max_total_eval:
         # main-population generation on resampled true fitness
         pop = pop.evolve(
             params.ga,
@@ -429,7 +399,7 @@ def run(fn, noise, params, rng, budget=None):
             sampled=True,
         )
         budget.skip(n_elites * rs)
-        track(pop.genomes[n_elites:])
+        best.update(pop.genomes[n_elites:])
         pool_x.append(pop.genomes[n_elites:])
         pool_y.append(pop.fitness[n_elites:])
 
@@ -447,23 +417,19 @@ def run(fn, noise, params, rng, budget=None):
                 if g < n:
                     evolve_pseudo(c, fn, params, rng)
 
-        merges = budget.total_eval + rs * _merge_eval_count(clusters, params) <= cap
-        if merges:
-            pop = merge_and_resample(clusters, fn, noise, rs, rng, budget, params)
-            track(pop.genomes)
+        pop = merge_and_resample(clusters, fn, noise, rng, budget, params)
+        if pop is not None:
+            best.update(pop.genomes)
             pool_x.append(pop.genomes)
             pool_y.append(pop.fitness)
         trace.append(
             CycleRecord(
-                cycle,
+                len(trace),
                 budget.total_eval,
-                best_fitness,
+                best.best_fitness,
                 len(clusters),
                 sum(1 for c in clusters if c.eligible),
             )
         )
-        if not merges:
-            break
-        cycle += 1
 
-    return RunResult(best_genome, best_fitness, budget, trace)
+    return best.result(budget, trace)

@@ -75,7 +75,6 @@ TABLE_BUDGETS = {
 }
 
 SIGMA_SWEEP = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9]
-RS_SWEEP = [1, 5, 20, 50, 100]
 
 
 class ConfigError(ValueError):
@@ -130,9 +129,10 @@ _RULES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep. Construction checks every field and builds every block in
-    ``params`` (see ``build_params``) and the benchmark function, so a bad
-    value raises ``ConfigError`` before any run. ``epsilon`` is filled in
+    """One sweep. Construction checks every field, builds every block in
+    ``params`` (see ``build_params``), the selected algo's parameters at each
+    ``rs`` and the resolved ``total_eval``, and the benchmark function, so a
+    bad value raises ``ConfigError`` before any run. ``epsilon`` is filled in
     from ``DEFAULT_EPSILON``."""
 
     function: str = "sphere"
@@ -154,7 +154,10 @@ class ExperimentConfig:
             _check(ok(value), f"{name} must be {what}, got {value!r}")
         object.__setattr__(self, "epsilon", {**DEFAULT_EPSILON, **self.epsilon})
         for algo, block in self.params.items():
-            build_params(algo, block)
+            if algo != self.algo:  # the selected block is built per rs below
+                build_params(algo, block)
+        for rs in self.rs_list:
+            build_params(self.algo, self.params.get(self.algo, {}), rs, _total_eval(self))
         try:
             _build_function(self)
         except ValueError as exc:

@@ -1,30 +1,28 @@
-"""Seeded randomness, Gaussian sampling, and budgeted resampled fitness.
+"""Seeded randomness and budgeted resampled fitness.
 
 The generator is numpy's PCG64, wrapped so that every run owns a single
-stream and derived streams are reproducible from ``(seed, label)``.
+stream. ``resample_many`` is the one path that adds Gaussian noise to true
+fitness.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import benchmarks
 
-__all__ = ["RngState", "Budget", "gaussian", "resampled_fitness", "resample_many"]
+__all__ = ["RngState", "Budget", "check_budget", "resampled_fitness", "resample_many"]
 
 _MASK64 = (1 << 64) - 1
 
 
 class RngState:
-    """Deterministic random source (PCG64) with labeled splitting.
+    """Deterministic random source (PCG64).
 
-    Identical seeds give identical streams. ``split(label)`` derives a
-    statistically independent child stream whose seed depends only on
-    ``(seed, label)``. Single-owner: never share one state across
-    concurrent callers.
+    Identical seeds give identical streams. Single-owner: never share one
+    state across concurrent callers.
     """
 
     __slots__ = ("seed", "_gen")
@@ -32,12 +30,6 @@ class RngState:
     def __init__(self, seed):
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def split(self, label):
-        digest = hashlib.blake2b(
-            f"{self.seed}/{label}".encode(), digest_size=8
-        ).digest()
-        return RngState(int.from_bytes(digest, "little"))
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size)
@@ -75,28 +67,20 @@ class Budget:
         self.total_unchanged += int(n)
 
 
-def gaussian(rng, mu, sigma):
-    """One draw from N(mu, sigma^2). sigma == 0 returns mu exactly."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if sigma == 0:
-        return float(mu)
-    return float(rng.normal(mu, sigma))
+def check_budget(total_eval, pop_size, rs):
+    """Raise ``ValueError`` unless ``total_eval`` covers scoring the first
+    population: ``pop_size`` points, ``rs`` evaluations each."""
+    if total_eval < pop_size * rs:
+        raise ValueError(f"budget {total_eval} is below pop_size={pop_size} x rs={rs}")
 
 
 def resampled_fitness(fn, x, rs, noise, rng, budget):
-    """Mean of ``rs`` independent noisy evaluations; charges ``rs`` to budget."""
-    if rs < 1:
-        raise ValueError(f"rs must be a positive integer, got {rs}")
-    base = benchmarks.evaluate(fn, x)
-    budget.charge(rs)
-    if noise.sigma == 0.0:
-        return base + noise.mu
-    return base + float(np.mean(rng.normal(noise.mu, noise.sigma, rs)))
+    """Mean of ``rs`` noisy evaluations of one point: ``resample_many`` on one row."""
+    return float(resample_many(fn, np.asarray(x)[None], rs, noise, rng, budget)[0])
 
 
 def resample_many(fn, xs, rs, noise, rng, budget):
-    """Batched ``resampled_fitness`` over rows of ``xs``; charges n*rs."""
+    """Mean of ``rs`` noisy evaluations of each row of ``xs``; charges n*rs."""
     if rs < 1:
         raise ValueError(f"rs must be a positive integer, got {rs}")
     xs = np.asarray(xs, dtype=np.float64)

@@ -37,10 +37,14 @@ class TestConfigs:
             PsoConfig(phi_min=3.0, phi_max=2.0)
 
     def test_infeasible_budget_rejected(self):
-        fn = make_function("sphere")
-        cfg = CgaConfig(rs=100, total_eval=5000)  # 100 * 100 > 5000
+        # rejected on construction: the first population costs pop_size * rs
         with pytest.raises(ValueError):
-            run_cga(fn, NoiseModel(), cfg, RngState(0))
+            CgaConfig(rs=100, total_eval=5000)  # 100 * 100 > 5000
+        with pytest.raises(ValueError):
+            DeConfig(rs=5, total_eval=249)  # 50 * 5 > 249
+        with pytest.raises(ValueError):
+            PsoConfig(rs=3, total_eval=59)  # 20 * 3 > 59
+        assert PsoConfig(rs=3, total_eval=60).total_eval == 60
 
 
 class TestBudgetIdentity:

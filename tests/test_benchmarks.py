@@ -7,10 +7,9 @@ from dpsea.benchmarks import (
     evaluate,
     evaluate_many,
     make_function,
-    noisy_evaluate,
     optimum,
 )
-from dpsea.stochastics import RngState
+from dpsea.stochastics import Budget, RngState, resample_many
 
 
 class TestDefaults:
@@ -117,26 +116,29 @@ class TestOptimum:
 
 
 class TestNoisyEvaluate:
+    """Noisy evaluation goes through ``stochastics.resample_many``."""
+
+    def noisy(self, fn, xs, noise, rng, rs=1):
+        return resample_many(fn, xs, rs, noise, rng, Budget(len(xs), 1, rs))
+
     def test_zero_sigma_is_exact(self):
         fn = make_function("sphere")
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        got = noisy_evaluate(fn, x, NoiseModel(0.0, 0.0), RngState(1))
-        assert got == evaluate(fn, x)
+        got = self.noisy(fn, x[None], NoiseModel(0.0, 0.0), RngState(1))
+        assert got[0] == evaluate(fn, x)
 
     def test_same_seed_same_output(self):
         fn = make_function("sphere")
-        x = np.zeros(5)
+        xs = np.zeros((3, 5))
         noise = NoiseModel(0.0, 1.0)
-        a = noisy_evaluate(fn, x, noise, RngState(99))
-        b = noisy_evaluate(fn, x, noise, RngState(99))
-        assert a == b
+        a = self.noisy(fn, xs, noise, RngState(99))
+        b = self.noisy(fn, xs, noise, RngState(99))
+        assert np.array_equal(a, b)
 
     def test_noise_mean_near_true_value(self):
         fn = make_function("sphere")
-        x = np.zeros(5)
-        rng = RngState(5)
         noise = NoiseModel(0.0, 1.0)
-        draws = [noisy_evaluate(fn, x, noise, rng) for _ in range(10_000)]
+        draws = self.noisy(fn, np.zeros((10_000, 5)), noise, RngState(5))
         assert abs(np.mean(draws)) < 0.04  # ~4 sigma / sqrt(n)
 
     def test_negative_sigma_rejected(self):
@@ -149,12 +151,9 @@ class TestNoisyEvaluate:
         x = np.ones(5)
         truth = evaluate(fn, x)
         noise = NoiseModel(0.0, 1.0)
-        rng = RngState(11)
         n = 64
-        hits = 0
         trials = 1000
-        for _ in range(trials):
-            mean = np.mean([noisy_evaluate(fn, x, noise, rng) for _ in range(n)])
-            if abs(mean - truth) < 4.0 / np.sqrt(n):
-                hits += 1
+        # each row's value is the mean of n independent noisy evaluations
+        means = self.noisy(fn, np.tile(x, (trials, 1)), noise, RngState(11), rs=n)
+        hits = np.sum(np.abs(means - truth) < 4.0 / np.sqrt(n))
         assert hits >= 0.99 * trials

@@ -134,8 +134,8 @@ class TestSelfOrganize:
         ys = np.array([10.0, 20.0, 30.0])
         clusters = self_organize(pop, fn, params, samples=(xs, ys))
         assert len(clusters) == 2
-        left = next(c for c in clusters if c.centroid[0] < 0)
-        right = next(c for c in clusters if c.centroid[0] > 0)
+        left = next(c for c in clusters if genomes[c.seed_index, 0] < 0)
+        right = next(c for c in clusters if genomes[c.seed_index, 0] > 0)
         assert sorted(left.archive[1].tolist()) == [10.0, 30.0]
         assert right.archive[1].tolist() == [20.0]
 
@@ -143,6 +143,26 @@ class TestSelfOrganize:
         fn = make_function("sphere", dimension=2)
         with pytest.raises(ValueError):
             self_organize(make_pop(np.empty((0, 2))), fn, small_params())
+
+    def test_archives_nonempty_when_pool_holds_the_population(self):
+        # run's pool always holds the population's genomes, and each seed is
+        # its own nearest seed, so fit_surrogate never sees an empty archive
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            d = int(rng.integers(1, 6))
+            fn = make_function("sphere", dimension=d)
+            n = int(rng.integers(1, 41))
+            params = small_params(
+                ga=GaParams(pop_size=n, n_elites=0), s_min=1,
+                max_clusters=int(rng.integers(1, 12)),
+                radius_fraction=float(rng.uniform(0.001, 1.0)),
+            )
+            pop = make_pop(rng.uniform(-100, 100, (n, d)), rng.normal(size=n))
+            extra = rng.uniform(-100, 100, (int(rng.integers(0, 30)), d))
+            xs = np.vstack([extra, pop.genomes])[rng.permutation(len(extra) + n)]
+            samples = (xs, rng.normal(size=len(xs)))
+            for c in self_organize(pop, fn, params, samples=samples):
+                assert len(c.archive[1]) > 0
 
 
 class TestEligibility:
@@ -232,12 +252,16 @@ class TestEvolvePseudo:
         clusters = self_organize(pop, fn, small_params(radius_fraction=1.0))
         c = clusters[0]
         c.eligible = True
-        return c
+        return fit_surrogate(c, fn, params)
 
     def test_requires_eligibility(self):
         fn = make_function("sphere", dimension=2)
         c = self._eligible_cluster(fn, small_params())
         c.eligible = False
+        with pytest.raises(ValueError):
+            evolve_pseudo(c, fn, small_params(), RngState(0))
+        # an eligible cluster whose model was never fitted is rejected too
+        c.eligible, c.model = True, None
         with pytest.raises(ValueError):
             evolve_pseudo(c, fn, small_params(), RngState(0))
 
@@ -267,12 +291,19 @@ class TestEvolvePseudo:
             assert m.fitness[i] == pytest.approx(predict(c.model, m.genomes[i]))
             assert not m.sampled[i]
 
-    def test_model_fit_cached_between_generations(self):
+    def test_model_fit_cached_between_generations(self, monkeypatch):
         fn = make_function("sphere", dimension=2)
         params = small_params()
         c = self._eligible_cluster(fn, params)
-        evolve_pseudo(c, fn, params, RngState(1))
         first = c.model
+
+        def boom(*args, **kwargs):
+            raise AssertionError("evolve_pseudo must not refit the model")
+
+        import dpsea.regression as reg
+
+        monkeypatch.setattr(reg, "fit", boom)
+        evolve_pseudo(c, fn, params, RngState(1))
         evolve_pseudo(c, fn, params, RngState(2))
         assert c.model is first
 
@@ -283,14 +314,6 @@ class TestEvolvePseudo:
         evolve_pseudo(c, fn, params, RngState(1))
         assert c.model.kind is ModelKind.DIAG_QUADRATIC
 
-    def test_empty_archive_falls_back_to_constant(self):
-        fn = make_function("sphere", dimension=2)
-        params = small_params()
-        c = self._eligible_cluster(fn, params)
-        c.archive = (np.empty((0, 2)), np.empty(0))
-        evolve_pseudo(c, fn, params, RngState(1))
-        assert c.model.kind is ModelKind.CONSTANT
-
     def test_singleton_cluster_evolves(self):
         fn = make_function("sphere", dimension=2)
         params = small_params(s_min=1)
@@ -298,7 +321,7 @@ class TestEvolvePseudo:
         clusters = self_organize(pop, fn, small_params(radius_fraction=1.0))
         c = clusters[0]
         c.eligible = True
-        evolve_pseudo(c, fn, params, RngState(0))
+        evolve_pseudo(fit_surrogate(c, fn, params), fn, params, RngState(0))
         assert len(c.members) == 1
 
 
@@ -330,14 +353,13 @@ class TestSurrogateGenerations:
         assert c.fidelity < 0.5
         assert surrogate_generations(c, params) < params.t_switch / 2
 
-    def test_empty_archive_gets_none(self):
+    def test_empty_archive_rejected(self):
         fn = make_function("sphere", dimension=2)
         params = small_params()
         c = self._cluster(fn, lambda g, rng: np.sum(g * g, axis=1))
         c.archive = (np.empty((0, 2)), np.empty(0))
-        fit_surrogate(c, fn, params)
-        assert c.model.kind is ModelKind.CONSTANT
-        assert surrogate_generations(c, params) == 0
+        with pytest.raises(ValueError):
+            fit_surrogate(c, fn, params)
 
     def test_scaling_and_rounding(self):
         params = small_params(t_switch=10)
@@ -353,7 +375,7 @@ class TestMergeAndResample:
         # 100 members, 10 exempt elites, rs = 5:
         # charged (100 - 10) * 5 = 450, skipped 10 * 5 = 50
         fn = make_function("sphere", dimension=2)
-        params = DpseaParams(ga=GaParams(pop_size=100, n_elites=10))
+        params = DpseaParams(ga=GaParams(pop_size=100, n_elites=10), rs_merge=5)
         rng = np.random.default_rng(0)
         pop = make_pop(rng.uniform(-50, 50, (100, 2)))
         pop.unchanged[:10] = True
@@ -361,7 +383,7 @@ class TestMergeAndResample:
             ga=GaParams(pop_size=100, n_elites=10), radius_fraction=1.0))
         budget = Budget(pop_size=100, total_it=0, rs=5)
         merged = merge_and_resample(
-            clusters, fn, NoiseModel(0.0, 0.0), 5, RngState(1), budget, params
+            clusters, fn, NoiseModel(0.0, 0.0), RngState(1), budget, params
         )
         assert len(merged) == 100
         assert budget.total_eval == 450
@@ -375,7 +397,7 @@ class TestMergeAndResample:
         clusters = self_organize(pop, fn, params)
         budget = Budget(pop_size=4, total_it=0, rs=1)
         merged = merge_and_resample(
-            clusters, fn, NoiseModel(0.0, 0.0), 1, RngState(1), budget, params
+            clusters, fn, NoiseModel(0.0, 0.0), RngState(1), budget, params
         )
         assert merged.unchanged.sum() == 1
         assert merged.fitness[merged.unchanged][0] == 1.0
@@ -390,28 +412,56 @@ class TestMergeAndResample:
         pop = make_pop(np.zeros((6, 2)))
         clusters = self_organize(pop, fn, small_params(
             ga=GaParams(pop_size=6, n_elites=1), radius_fraction=1.0))
-        clusters[0].staleness = 2
+        clusters[0].members.stale_cycles[:] = 2
         budget = Budget(pop_size=6, total_it=0, rs=1)
         merged = merge_and_resample(
-            clusters, fn, NoiseModel(0.0, 0.0), 1, RngState(7), budget, params
+            clusters, fn, NoiseModel(0.0, 0.0), RngState(7), budget, params
         )
         # every original sits at the origin: no merged row may be one of them
         assert not np.any(np.all(merged.genomes == 0.0, axis=1))
         assert not merged.unchanged.any() and not merged.stale_cycles.any()
         assert np.any(merged.genomes != 0.0)
 
-    def test_refills_to_population_size(self):
+    def test_short_cluster_set_raises(self):
+        # clusters partition the population, so fewer members than
+        # pop_size means the caller lost some
         fn = make_function("sphere", dimension=2)
         params = small_params(ga=GaParams(pop_size=8, n_elites=1))
         pop = make_pop(np.zeros((5, 2)))
         clusters = self_organize(pop, fn, small_params(
             ga=GaParams(pop_size=5, n_elites=1), radius_fraction=1.0))
         budget = Budget(pop_size=8, total_it=0, rs=1)
+        with pytest.raises(ValueError):
+            merge_and_resample(
+                clusters, fn, NoiseModel(0.0, 0.0), RngState(1), budget, params
+            )
+        assert budget.total_eval == 0
+
+    def test_over_the_cap_returns_none_and_charges_nothing(self):
+        # 10 members, 2 exempt elites, rs = 2: the merge costs 16; with 85
+        # already spent, a cap of 100 leaves room for 15
+        fn = make_function("sphere", dimension=2)
+        params = small_params(ga=GaParams(pop_size=10, n_elites=2), rs_merge=2,
+                              max_total_eval=100)
+        pop = make_pop(np.ones((10, 2)))
+        pop.unchanged[:2] = True
+        clusters = self_organize(pop, fn, params)
+        fitness = [c.members.fitness.copy() for c in clusters]
+        budget = Budget(pop_size=10, total_it=0, rs=2, total_eval=85)
         merged = merge_and_resample(
-            clusters, fn, NoiseModel(0.0, 0.0), 1, RngState(1), budget, params
+            clusters, fn, NoiseModel(0.0, 1.0), RngState(1), budget, params
         )
-        assert len(merged) == 8
-        assert budget.total_eval == 8
+        assert merged is None
+        assert (budget.total_eval, budget.total_unchanged) == (85, 0)
+        for c, before in zip(clusters, fitness):
+            assert np.array_equal(c.members.fitness, before)
+        # one evaluation less spent and the same merge fits
+        budget.total_eval = 84
+        merged = merge_and_resample(
+            clusters, fn, NoiseModel(0.0, 1.0), RngState(1), budget, params
+        )
+        assert len(merged) == 10
+        assert (budget.total_eval, budget.total_unchanged) == (100, 4)
 
 
 class TestRun:
@@ -449,12 +499,16 @@ class TestRun:
             )
             assert xs.shape == (init, 5) and ys.shape == (init,)
 
-    def test_cap_zero_only_charges_initialization(self):
+    def test_budget_below_first_population_rejected(self):
         fn = make_function("sphere")
-        params = small_params(max_total_eval=0)
-        res = run(fn, NoiseModel(0.0, 0.0), params, RngState(1))
-        assert res.budget.total_eval == params.ga.pop_size * params.rs_merge
-        assert res.trace == []
+        for rs in (1, 3):
+            with pytest.raises(ValueError):
+                small_params(max_total_eval=20 * rs - 1, rs_merge=rs)
+            # a cap that only pays for the first population charges just that
+            params = small_params(max_total_eval=20 * rs, rs_merge=rs)
+            res = run(fn, NoiseModel(0.0, 0.0), params, RngState(1))
+            assert res.budget.total_eval == 20 * rs
+            assert res.trace == []
 
     def test_best_fitness_is_true_fitness_of_best_genome(self):
         from dpsea.benchmarks import evaluate

@@ -73,6 +73,9 @@ class TestConfigValidation:
             {"params": {"regression": {"lambda": 1e-4}}},
             {"params": {"de": {"pop_size": 3}}},
             {"params": {"dpsea": {"pop_size": "20"}}},
+            # budgets below pop_size * rs at some rs of the sweep
+            {"rs_list": (1, 101)},
+            {"algo": "dpsea", "total_eval": 50, "params": {}},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -420,6 +423,27 @@ class TestCli:
         assert err.startswith("error: invalid configuration: DPSEA_THREADS")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--algo", "cga", "--rs", "1,5", "--total-eval", "300"],
+        ["--algo", "dpsea", "--rs", "1,3", "--total-eval", "50"],
+    ])
+    def test_budget_below_first_population_exits_1_before_any_run(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        out = tmp_path / "res"
+        code, _, err = self.run_cli([
+            "run", "--function", "sphere", "--sigma", "0", "--repeats", "1",
+            "--seed", "1", *argv, "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: invalid configuration:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("algo, key", [
         ("dpsea", "t_swich"), ("cga", "pop_sise"), ("de", "f_scal"),
         ("pso", "w_strat"),
@@ -561,6 +585,31 @@ class TestCli:
         )
         assert code == 0
         assert stdout.splitlines()[1].endswith(",100")
+
+    def test_success_epsilon_measures_against_the_runs_optimum(self, tmp_path, capsys):
+        # 10-D rastrigin1 with constant 3.0 has its optimum at 3 - 100 = -97
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"function": "rastrigin1", "dimension": 10,
+                                    "rastrigin_constant": 3.0}))
+        out = str(tmp_path / "res")
+        code, _, err = self.run_cli([
+            "run", "--config", str(path), "--algo", "cga", "--sigma", "0,0.5",
+            "--rs", "1", "--repeats", "2", "--seed", "3", "--total-eval", "2000",
+            "--out", out,
+        ], capsys)
+        assert code == 0, err
+        records = parse_runs_csv(os.path.join(out, "runs.csv"))
+        want = success_rate(records, 5.0, -97.0)
+        assert want != success_rate(records, 5.0, 0.0)
+        code, stdout, _ = self.run_cli(["success", "--in", out, "--epsilon", "5"], capsys)
+        assert code == 0
+        assert stdout.splitlines()[1:] == [f"{s!r},{p}" for s, p in want.items()]
+
+        os.remove(os.path.join(out, "config.json"))
+        code, _, err = self.run_cli(["success", "--in", out, "--epsilon", "5"], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert "config.json" in err
 
     def test_success_counts_the_recorded_flags(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from dpsea.benchmarks import NoiseModel, evaluate, make_function
+from dpsea.benchmarks import FUNCTION_IDS, NoiseModel, evaluate, make_function
 from dpsea.stochastics import (
     Budget,
     RngState,
-    gaussian,
     resample_many,
     resampled_fitness,
 )
@@ -24,40 +23,8 @@ class TestRngState:
             RngState(1).uniform(size=10), RngState(2).uniform(size=10)
         )
 
-    def test_split_is_deterministic(self):
-        a = RngState(7).split("child")
-        b = RngState(7).split("child")
-        assert a.seed == b.seed
-        assert np.array_equal(a.uniform(size=5), b.uniform(size=5))
-
-    def test_split_labels_are_independent(self):
-        root = RngState(7)
-        assert root.split("x").seed != root.split("y").seed
-        assert root.split("x").seed != root.seed
-
-    def test_split_does_not_advance_parent(self):
-        a = RngState(7)
-        a.split("x")
-        b = RngState(7)
-        assert np.array_equal(a.uniform(size=5), b.uniform(size=5))
-
     def test_seed_masked_to_64_bits(self):
         assert RngState(1 << 70).seed == 0
-
-
-class TestGaussian:
-    def test_zero_sigma_returns_mu(self):
-        assert gaussian(RngState(0), 3.5, 0.0) == 3.5
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian(RngState(0), 0.0, -0.5)
-
-    def test_moments(self):
-        rng = RngState(3)
-        draws = np.array([gaussian(rng, 2.0, 0.5) for _ in range(20_000)])
-        assert abs(draws.mean() - 2.0) < 0.02
-        assert abs(draws.std() - 0.5) < 0.02
 
 
 class TestBudget:
@@ -111,6 +78,18 @@ class TestResampledFitness:
         budget = Budget(pop_size=1, total_it=1, rs=1)
         got = resampled_fitness(fn, x, 1, NoiseModel(5.0, 0.0), RngState(0), budget)
         assert got == 5.0
+
+    def test_one_row_of_resample_many_bit_for_bit(self):
+        for name in FUNCTION_IDS:
+            fn = make_function(name, dimension=4)
+            x = RngState(3).uniform(fn.lower_bound, fn.upper_bound, 4)
+            for rs in (1, 3, 10):
+                noise = NoiseModel(0.2, 0.7)
+                a, b = Budget(1, 1, rs), Budget(1, 1, rs)
+                one = resampled_fitness(fn, x, rs, noise, RngState(rs), a)
+                many = resample_many(fn, x[None], rs, noise, RngState(rs), b)
+                assert one == many[0] and type(one) is float
+                assert a.total_eval == b.total_eval == rs
 
 
 class TestResampleMany:
