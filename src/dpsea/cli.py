@@ -2,8 +2,10 @@
 
 Subcommands:
   run        execute a sweep from a JSON config and/or flags
-  summarize  aggregate an existing runs.csv into mean/std per cell
+  summarize  aggregate an existing runs.csv (or runs.json) into mean/std
+             per cell
   success    success-rate table per noise level from an existing runs.csv
+             (or runs.json)
 
 Exit codes: 0 success, 1 invalid configuration, 2 unwritable output path.
 """
@@ -41,7 +43,8 @@ def build_parser():
     run.add_argument("--out", help="output directory")
     run.add_argument("--format", choices=["csv", "json"])
 
-    summ = sub.add_parser("summarize", help="aggregate runs.csv into summary rows")
+    summ = sub.add_parser("summarize",
+                          help="aggregate runs.csv or runs.json into summary rows")
     summ.add_argument("--in", dest="in_dir", required=True)
 
     succ = sub.add_parser("success", help="success rates per noise level")
@@ -131,10 +134,18 @@ def _cmd_run(args):
 
 
 def _read_records(in_dir):
-    path = os.path.join(in_dir, "runs.csv")
-    if not os.path.exists(path):
-        raise ConfigError(f"no runs.csv under {in_dir}")
-    records = harness.parse_runs_csv(path)
+    """The runs in ``in_dir``'s runs.csv, or in its runs.json when it has no csv."""
+    for name, parse in (("runs.csv", harness.parse_runs_csv),
+                        ("runs.json", harness.parse_runs_json)):
+        path = os.path.join(in_dir, name)
+        if os.path.exists(path):
+            break
+    else:
+        raise ConfigError(f"no runs.csv or runs.json under {in_dir}")
+    try:
+        records = parse(path)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path} is not a runs file: missing or bad {exc}") from None
     if not records:
         raise ConfigError(f"{path} holds no records")
     return records

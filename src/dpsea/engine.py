@@ -104,6 +104,10 @@ class DpseaParams:
             raise ValueError("staleness_limit must be >= 1")
         if self.rs_merge < 1:
             raise ValueError("rs_merge must be >= 1")
+        if not 0.0 <= self.regression_lambda < math.inf:
+            raise ValueError("regression_lambda must be finite and >= 0")
+        if not 0.0 < self.quadratic_min_samples_factor < math.inf:
+            raise ValueError("quadratic_min_samples_factor must be finite and > 0")
         check_budget(self.max_total_eval, self.ga.pop_size, self.rs_merge)
 
 
@@ -222,17 +226,15 @@ def fit_surrogate(cluster, fn, params):
 
     The basis is the richest the archive supports; an empty archive raises
     ``ValueError`` (in ``run`` every cluster's seed is in the sample pool,
-    so its archive is never empty). ``fidelity`` is the leave-one-out rank
-    correlation of the fit on the archive.
+    so its archive is never empty). ``regression.fit_rated`` gives the model
+    and ``fidelity``, its leave-one-out rank correlation on the archive.
     """
     xs, ys = cluster.archive
     lam = params.regression_lambda
     kind = regression.select_kind(
         len(ys), fn.dimension, params.quadratic_min_samples_factor
     )
-    basis = regression.design_matrix(xs, kind)
-    cluster.model = regression.fit(xs, ys, kind, lam, basis=basis)
-    cluster.fidelity = regression.loo_rank_correlation(xs, ys, kind, lam, basis=basis)
+    cluster.model, cluster.fidelity = regression.fit_rated(xs, ys, kind, lam)
     return cluster
 
 
@@ -356,7 +358,7 @@ def initial_design(fn, noise, params, rng, budget):
 
 
 @_blas.one_thread()  # a fresh context per call: OpenBLAS on one thread
-def run(fn, noise, params, rng, budget=None):
+def run(fn, noise, params, rng):
     """Full switching loop until the evaluation budget is exhausted.
 
     The population starts as the best ``pop_size`` points of
@@ -370,9 +372,8 @@ def run(fn, noise, params, rng, budget=None):
     against the budget). The run keeps OpenBLAS on one thread
     (``_blas.one_thread``), so parallel runs do not contend for cores.
     """
-    if budget is None:
-        budget = Budget(pop_size=params.ga.pop_size, total_it=0, rs=params.rs_merge)
     rs = params.rs_merge
+    budget = Budget(pop_size=params.ga.pop_size, total_it=0, rs=rs)
 
     design_x, design_y = initial_design(fn, noise, params, rng, budget)
     keep = np.argsort(design_y, kind="stable")[: params.ga.pop_size]

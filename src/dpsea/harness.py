@@ -43,6 +43,7 @@ __all__ = [
     "csv_text",
     "emit",
     "parse_runs_csv",
+    "parse_runs_json",
 ]
 
 # An algorithm: its parameter dataclass, the module and name of its runner,
@@ -412,3 +413,11 @@ def parse_runs_csv(path):
                          for f in fields(RunRecord)})
             for row in csv.DictReader(fh)
         ]
+
+
+def parse_runs_json(path):
+    """Read runs.json back into RunRecord objects (round-trip of emit)."""
+    with open(path, encoding="utf-8") as fh:
+        rows = json.load(fh)
+    return [RunRecord(**{f.name: row[f.name] for f in fields(RunRecord)})
+            for row in rows]

@@ -21,12 +21,11 @@ __all__ = [
     "ModelKind",
     "RegressionModel",
     "select_kind",
-    "design_matrix",
     "fit",
+    "fit_rated",
     "predict",
     "predict_many",
     "minimize",
-    "loo_rank_correlation",
 ]
 
 
@@ -72,26 +71,18 @@ def select_kind(sample_count, d, quadratic_min_samples_factor):
     return ModelKind.CONSTANT
 
 
-def _standardize(xs):
-    """Coordinates centered on the sample mean and scaled by its spread
-    (spread of a degenerate coordinate taken as 1)."""
+def _design_matrix(xs, kind):
+    """The basis of ``kind`` on ``xs`` standardized to the sample mean and
+    spread (spread of a degenerate coordinate taken as 1).
+
+    Returns ``(a, center, scale)``: the ``(n, p)`` design matrix and the
+    standardization used.
+    """
     center = xs.mean(axis=0)
     scale = xs.std(axis=0)
     scale = np.where(scale == 0.0, 1.0, scale)
-    return (xs - center) / scale, center, scale
-
-
-def design_matrix(xs, kind):
-    """The basis of ``kind`` evaluated on standardized ``xs``.
-
-    Returns ``(a, center, scale)``: the ``(n, p)`` design matrix and the
-    standardization used. ``fit`` and ``loo_rank_correlation`` compute it
-    themselves unless given it as ``basis``, so a caller that needs both
-    on one sample set computes it once.
-    """
-    z, center, scale = _standardize(np.asarray(xs, dtype=np.float64))
-    n = z.shape[0]
-    ones = np.ones((n, 1))
+    z = (xs - center) / scale
+    ones = np.ones((z.shape[0], 1))
     if kind is ModelKind.CONSTANT:
         a = ones
     elif kind is ModelKind.LINEAR:
@@ -101,16 +92,8 @@ def design_matrix(xs, kind):
     return a, center, scale
 
 
-def fit(xs, ys, kind, lam, *, basis=None):
-    """Ridge least-squares fit of the chosen basis.
-
-    Minimizes ``sum((y - model(x))^2) + lam * ||beta||^2`` with the
-    intercept unpenalized, on coordinates standardized to the sample mean
-    and spread (spread of a degenerate coordinate is taken as 1). Solved
-    as an augmented least-squares problem, which stays stable for
-    condition numbers well past 1e8 and any ``lam >= 0``. ``basis`` is
-    ``design_matrix(xs, kind)`` when the caller already has it.
-    """
+def _checked(xs, ys, lam):
+    """``xs`` and ``ys`` as float arrays, after checking shapes, values and ``lam``."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 2 or ys.ndim != 1 or xs.shape[0] != ys.shape[0]:
@@ -121,72 +104,88 @@ def fit(xs, ys, kind, lam, *, basis=None):
         raise ValueError("samples contain non-finite values")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    return xs, ys
 
-    d = xs.shape[1]
-    a, center, scale = design_matrix(xs, kind) if basis is None else basis
+
+def fit(xs, ys, kind, lam):
+    """Ridge least-squares fit of the chosen basis.
+
+    Minimizes ``sum((y - model(x))^2) + lam * ||beta||^2`` with the
+    intercept unpenalized, on coordinates standardized to the sample mean
+    and spread (spread of a degenerate coordinate is taken as 1). Solved
+    as an augmented least-squares problem, which stays stable for
+    condition numbers well past 1e8 and any ``lam >= 0``.
+    """
+    xs, ys = _checked(xs, ys, lam)
+    a, center, scale = _design_matrix(xs, kind)
     p = a.shape[1]
     if lam > 0 and p > 1:
         pen = math.sqrt(lam) * np.eye(p)[1:]  # intercept row excluded
         a = np.vstack([a, pen])
         ys = np.concatenate([ys, np.zeros(p - 1)])
     beta, *_ = np.linalg.lstsq(a, ys, rcond=None)
-
-    coef = _destandardize(beta, kind, center, scale, d)
-    if not np.all(np.isfinite(coef)):
-        raise ValueError("regression produced non-finite coefficients")
-    return RegressionModel(kind, coef, float(lam), center, scale)
+    return _model(beta, kind, lam, center, scale)
 
 
-def loo_rank_correlation(xs, ys, kind, lam, *, basis=None):
-    """Spearman correlation between leave-one-out predictions and ``ys``.
+def fit_rated(xs, ys, kind, lam):
+    """The ridge fit of ``fit`` and its leave-one-out rank correlation.
 
-    Each sample is predicted by the same ridge fit as ``fit`` made on the
-    other samples, in closed form from the hat matrix
-    ``H = A (A'A + lam P)^-1 A'``: ``y_i - e_i / (1 - H_ii)``. It measures
-    how well the basis ranks points it was not fitted on, which in-sample
-    residuals hide when the sample count is close to the number of
-    coefficients. A constant model predicts each left-out sample by the
-    mean of the others, which ranks them exactly backwards (-1). Fewer
-    than three samples, constant ``ys``, or a basis the samples do not
-    determine (singular ``A'A`` at ``lam = 0``) give 0. ``basis`` is
-    ``design_matrix(xs, kind)`` when the caller already has it.
+    Returns ``(model, fidelity)`` from one Cholesky factor ``L`` of
+    ``A'A + lam P`` (``P`` the identity with the intercept unpenalized).
+    With ``w = L^-1 A'`` the hat matrix is ``H = w'w``, the coefficients
+    are ``L'^-1 w y``, and each sample's leave-one-out prediction is
+    ``y_i - e_i / (1 - H_ii)``: the same ridge fit made on the other
+    samples. ``fidelity`` is the Spearman correlation between those
+    predictions and ``ys``. It measures how well the basis ranks points it
+    was not fitted on, which in-sample residuals hide when the sample
+    count is close to the number of coefficients. A constant model
+    predicts each left-out sample by the mean of the others, which ranks
+    them exactly backwards (-1). Fewer than three samples or constant
+    ``ys`` give 0. A system the samples do not determine (the
+    factorization fails, as on a degenerate archive at ``lam = 0``) gives
+    ``fit``'s least-squares model and fidelity 0.
     """
-    ys = np.asarray(ys, dtype=np.float64)
-    if ys.shape[0] < 3 or np.all(ys == ys[0]):
-        return 0.0
-    a = (design_matrix(xs, kind) if basis is None else basis)[0]
+    xs, ys = _checked(xs, ys, lam)
+    a, center, scale = _design_matrix(xs, kind)
     pen = np.full(a.shape[1], float(lam))
-    pen[0] = 0.0  # intercept unpenalized, as in ``fit``
-    gram = a.T @ a + np.diag(pen)
+    pen[0] = 0.0
     try:
-        w = np.linalg.solve(np.linalg.cholesky(gram), a.T)  # H = w.T @ w
+        chol = np.linalg.cholesky(a.T @ a + np.diag(pen))
+        w = np.linalg.solve(chol, a.T)
     except np.linalg.LinAlgError:
-        return 0.0
+        return fit(xs, ys, kind, lam), 0.0
+    wy = w @ ys
+    model = _model(np.linalg.solve(chol.T, wy), kind, lam, center, scale)
+    n = ys.shape[0]
+    if n < 3 or np.all(ys == ys[0]):
+        return model, 0.0
     leverage = np.einsum("ij,ij->j", w, w)
-    resid = ys - w.T @ (w @ ys)
-    loo = ys - resid / np.maximum(1.0 - leverage, 1e-12)
+    loo = ys - (ys - w.T @ wy) / np.maximum(1.0 - leverage, 1e-12)
     # stable ranks are a permutation of 0..n-1 (no ties), so Pearson on
     # them is exactly 1 - 6 sum(d^2) / (n (n^2 - 1))
     rank = lambda v: np.argsort(np.argsort(v, kind="stable"), kind="stable")
     d = rank(loo) - rank(ys)
-    n = ys.shape[0]
-    return 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
+    return model, 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
 
 
-def _destandardize(beta, kind, center, scale, d):
-    """Map standardized-space coefficients back to original coordinates."""
+def _model(beta, kind, lam, center, scale):
+    """The model of standardized-space coefficients ``beta``, mapped back
+    to original coordinates."""
+    d = center.shape[0]
     if kind is ModelKind.CONSTANT:
-        return beta.copy()
-    b0 = beta[0]
-    bl = beta[1 : d + 1]
-    if kind is ModelKind.LINEAR:
-        lin = bl / scale
-        return np.concatenate([[b0 - np.dot(lin, center)], lin])
-    bq = beta[d + 1 :]
-    quad = bq / (scale * scale)
-    lin = bl / scale - 2.0 * quad * center
-    const = b0 - np.dot(bl / scale, center) + np.dot(quad, center * center)
-    return np.concatenate([[const], lin, quad])
+        coef = beta.copy()
+    elif kind is ModelKind.LINEAR:
+        lin = beta[1:] / scale
+        coef = np.concatenate([[beta[0] - np.dot(lin, center)], lin])
+    else:
+        bl = beta[1 : d + 1]
+        quad = beta[d + 1 :] / (scale * scale)
+        lin = bl / scale - 2.0 * quad * center
+        const = beta[0] - np.dot(bl / scale, center) + np.dot(quad, center * center)
+        coef = np.concatenate([[const], lin, quad])
+    if not np.all(np.isfinite(coef)):
+        raise ValueError("regression produced non-finite coefficients")
+    return RegressionModel(kind, coef, float(lam), center, scale)
 
 
 def predict_many(model, xs):

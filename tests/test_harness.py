@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -494,6 +495,33 @@ class TestCli:
         assert err.startswith("error: invalid configuration:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("block", [
+        {"regression_lambda": -1},
+        {"regression_lambda": math.inf},
+        {"quadratic_min_samples_factor": 0},
+        {"quadratic_min_samples_factor": math.nan},
+    ])
+    def test_bad_regression_setting_exits_1_before_any_run(
+        self, block, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dpsea": block}))
+        out = tmp_path / "res"
+        code, _, err = self.run_cli([
+            "run", "--config", str(path), "--algo", "dpsea", "--function",
+            "sphere", "--sigma", "0", "--rs", "1", "--repeats", "1", "--seed",
+            "1", "--total-eval", "2000", "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: invalid configuration:")
+        assert next(iter(block)) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("algo, block", [
         ("dpsea", {"t_switch": 3, "pop_size": 30, "n_elites": 3,
                    "regression_lambda": 1e-4}),
@@ -623,6 +651,33 @@ class TestCli:
         code, stdout, _ = self.run_cli(["success", "--in", out], capsys)
         assert code == 0
         assert stdout.splitlines() == ["sigma,success_pct", "0.0,100"]
+
+    def test_summarize_and_success_read_json_runs(self, tmp_path, capsys):
+        outputs = {}
+        for fmt in ("csv", "json"):
+            out = str(tmp_path / fmt)
+            code, _, err = self.run_cli([
+                "run", "--algo", "cga", "--function", "sphere", "--sigma", "0",
+                "--rs", "1", "--repeats", "1", "--seed", "1", "--total-eval",
+                "500", "--format", fmt, "--out", out,
+            ], capsys)
+            assert code == 0, err
+            assert sorted(os.listdir(out)) == ["config.json", f"runs.{fmt}",
+                                               f"summary.{fmt}"]
+            outputs[fmt] = [
+                self.run_cli([command, "--in", out, *extra], capsys)
+                for command, extra in (("summarize", []), ("success", []),
+                                       ("success", ["--epsilon", "1e30"]))
+            ]
+        assert all(code == 0 for code, _, _ in outputs["json"])
+        assert outputs["json"] == outputs["csv"]
+
+    def test_malformed_runs_json_exits_1(self, tmp_path, capsys):
+        (tmp_path / "runs.json").write_text(json.dumps([{"function": "sphere"}]))
+        code, _, err = self.run_cli(["summarize", "--in", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert "runs.json" in err
 
     def test_summarize_missing_dir_exits_1(self, tmp_path, capsys):
         code, _, err = self.run_cli(

@@ -5,7 +5,7 @@ from dpsea.regression import (
     ModelKind,
     RegressionModel,
     fit,
-    loo_rank_correlation,
+    fit_rated,
     minimize,
     predict,
     predict_many,
@@ -15,8 +15,8 @@ from dpsea.regression import (
 
 def oracle_fit(xs, ys, kind, lam):
     """Brute-force normal-equations solve in standardized space, expanded
-    back to original coordinates by hand. Independent of the library path,
-    which uses an augmented lstsq."""
+    back to original coordinates by hand. Independent of the library paths,
+    an augmented lstsq in ``fit`` and a Cholesky factor in ``fit_rated``."""
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     d = xs.shape[1]
@@ -223,7 +223,72 @@ class TestMinimize:
         assert np.allclose(minimize(m, -100.0, 100.0), 0.0, atol=1e-8)
 
 
+class TestFitRated:
+    def test_matches_oracle_on_criterion_5_cases(self):
+        # the case generator of acceptance criterion 5, lam = 0 included
+        rng = np.random.default_rng(99)
+        kinds = [ModelKind.CONSTANT, ModelKind.LINEAR, ModelKind.DIAG_QUADRATIC]
+        for trial in range(300):
+            d = int(rng.integers(1, 6))
+            n = int(rng.integers(2 * d + 3, 50))
+            lam = float(rng.choice([0.0, 1e-8, 1e-6, 1e-3]))
+            kind = kinds[trial % 3]
+            xs = rng.uniform(-3, 3, (n, d))
+            ys = rng.normal(0, 1, n) + (xs * xs) @ rng.uniform(-1, 1, d)
+            model, _ = fit_rated(xs, ys, kind, lam)
+            want = oracle_fit(xs, ys, kind, lam)
+            rel = np.abs(model.coefficients - want) / np.maximum(np.abs(want), 1.0)
+            assert np.all(rel < 1e-8), (trial, kind, lam)
+            assert (model.kind, model.lam) == (kind, lam)
+
+    def test_matches_oracle_on_a_clustered_50d_archive(self):
+        # a tight cluster in a wide domain, as a 50-D run's archives are
+        rng = np.random.default_rng(15)
+        xs = rng.normal(3.0, 0.05, (150, 50))
+        ys = np.sum(xs * xs - 10 * np.cos(2 * np.pi * xs), axis=1)
+        for lam in (1e-6, 1e-3):
+            model, _ = fit_rated(xs, ys, ModelKind.DIAG_QUADRATIC, lam)
+            want = oracle_fit(xs, ys, ModelKind.DIAG_QUADRATIC, lam)
+            rel = np.abs(model.coefficients - want) / np.maximum(np.abs(want), 1.0)
+            assert np.all(rel < 1e-8), lam
+
+    def test_factorization_failure_falls_back_to_fit(self):
+        # duplicated rows give a linear basis zero columns, so A'A is
+        # singular at lam = 0 and has no Cholesky factor
+        xs = np.tile(np.array([[1.0, 2.0]]), (6, 1))
+        ys = np.arange(6.0)
+        model, fidelity = fit_rated(xs, ys, ModelKind.LINEAR, 0.0)
+        assert fidelity == 0.0
+        assert np.array_equal(model.coefficients,
+                              fit(xs, ys, ModelKind.LINEAR, 0.0).coefficients)
+
+    def test_degenerate_samples_stay_finite(self):
+        dup = np.tile(np.array([[1.0, 2.0]]), (8, 1))
+        for kind in ModelKind:
+            model, fidelity = fit_rated(dup, np.full(8, 3.0), kind, 1e-8)
+            assert np.all(np.isfinite(model.coefficients))
+            assert predict(model, np.array([1.0, 2.0])) == pytest.approx(3.0)
+            assert fidelity == 0.0  # constant ys
+
+    def test_too_few_samples_rate_zero(self):
+        xs = np.array([[0.0], [1.0]])
+        model, fidelity = fit_rated(xs, np.array([1.0, 3.0]), ModelKind.LINEAR, 1e-6)
+        assert fidelity == 0.0
+        assert predict(model, np.array([0.5])) == pytest.approx(2.0, abs=1e-5)
+
+    def test_validates_like_fit(self):
+        with pytest.raises(ValueError):
+            fit_rated(np.zeros((3, 2)), np.zeros(4), ModelKind.CONSTANT, 1e-6)
+        with pytest.raises(ValueError):
+            fit_rated(np.zeros((3, 1)), np.zeros(3), ModelKind.CONSTANT, lam=-1.0)
+        with pytest.raises(ValueError):
+            fit_rated(np.zeros((3, 1)), np.array([1.0, np.inf, 0.0]),
+                      ModelKind.CONSTANT, 1e-6)
+
+
 class TestLooRankCorrelation:
+    """The fidelity ``fit_rated`` returns."""
+
     @staticmethod
     def _rank(v):
         return np.argsort(np.argsort(v))
@@ -240,20 +305,22 @@ class TestLooRankCorrelation:
                 for i in range(len(ys))
             ])
             want = np.corrcoef(self._rank(loo), self._rank(ys))[0, 1]
-            got = loo_rank_correlation(xs, ys, kind, lam=0.0)
+            _, got = fit_rated(xs, ys, kind, lam=0.0)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_exact_model_ranks_perfectly(self):
         rng = np.random.default_rng(13)
         xs = rng.uniform(-3, 3, (40, 4))
         ys = np.sum((xs - 1.0) ** 2, axis=1)
-        assert loo_rank_correlation(xs, ys, ModelKind.DIAG_QUADRATIC, 1e-6) == pytest.approx(1.0)
+        _, fidelity = fit_rated(xs, ys, ModelKind.DIAG_QUADRATIC, 1e-6)
+        assert fidelity == pytest.approx(1.0)
 
     def test_constant_model_ranks_backwards(self):
         rng = np.random.default_rng(14)
         xs = rng.uniform(-1, 1, (10, 2))
         ys = rng.normal(size=10)
-        assert loo_rank_correlation(xs, ys, ModelKind.CONSTANT, 1e-6) == pytest.approx(-1.0)
+        _, fidelity = fit_rated(xs, ys, ModelKind.CONSTANT, 1e-6)
+        assert fidelity == pytest.approx(-1.0)
 
 
 class TestValidation:
