@@ -61,8 +61,8 @@ class NoiseModel:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not (np.isfinite(self.mu) and 0 <= self.sigma < np.inf):
+            raise ValueError(f"need a finite mu and a finite sigma >= 0, got {self}")
 
 
 def make_function(name, dimension=None, rastrigin_constant=None):

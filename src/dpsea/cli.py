@@ -7,7 +7,7 @@ Subcommands:
   success    success-rate table per noise level from an existing runs.csv
              (or runs.json)
 
-Exit codes: 0 success, 1 invalid configuration, 2 unwritable output path.
+Exit codes: 0 success, 1 invalid configuration or flag, 2 unwritable output path.
 """
 
 from __future__ import annotations
@@ -22,11 +22,20 @@ from .harness import ConfigError, ExperimentConfig
 
 
 def _list_of(kind):
-    return lambda text: tuple(kind(v) for v in text.split(","))
+    def parse(text):
+        return tuple(kind(v) for v in text.split(","))
+
+    parse.__name__ = f"comma-separated {kind.__name__}"  # named in errors
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad flag is a bad configuration: exit 1
+        self.exit(1, f"error: invalid configuration: {message}\n")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dpsea", description="Noisy-optimization experiment harness."
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -133,17 +142,35 @@ def _cmd_run(args):
     return 0
 
 
-def _read_records(in_dir):
-    """The runs in ``in_dir``'s runs.csv, or in its runs.json when it has no csv."""
-    for name, parse in (("runs.csv", harness.parse_runs_csv),
-                        ("runs.json", harness.parse_runs_json)):
-        path = os.path.join(in_dir, name)
-        if os.path.exists(path):
+_PARSERS = {"csv": harness.parse_runs_csv, "json": harness.parse_runs_json}
+
+
+def _read_echo(in_dir):
+    """The run's config.json as a dict, or ``None`` when ``in_dir`` has none."""
+    path = os.path.join(in_dir, "config.json")
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        echo = json.load(fh)
+    if not isinstance(echo, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return echo
+
+
+def _read_records(in_dir, echo):
+    """The runs in ``in_dir``'s runs.<format>, the format named by its
+    config.json ``echo``; without one, runs.csv, else runs.json."""
+    recorded = (echo or {}).get("format")
+    formats = ("csv", "json") if recorded is None else (recorded,)
+    for fmt in formats:
+        path = os.path.join(in_dir, f"runs.{fmt}")
+        if fmt in _PARSERS and os.path.exists(path):
             break
     else:
-        raise ConfigError(f"no runs.csv or runs.json under {in_dir}")
+        names = " or ".join(f"runs.{fmt}" for fmt in formats)
+        raise ConfigError(f"no {names} under {in_dir}")
     try:
-        records = parse(path)
+        records = _PARSERS[fmt](path)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path} is not a runs file: missing or bad {exc}") from None
     if not records:
@@ -151,16 +178,13 @@ def _read_records(in_dir):
     return records
 
 
-def _recorded_function(in_dir):
-    """The run's function, from its config.json: runs.csv lacks rastrigin_constant."""
-    path = os.path.join(in_dir, "config.json")
-    if not os.path.exists(path):
+def _recorded_function(in_dir, echo):
+    """The run's function, from its config.json ``echo`` (runs.csv lacks it)."""
+    if echo is None:
         raise ConfigError(f"--epsilon needs the run's config.json; none under {in_dir}")
-    with open(path, encoding="utf-8") as fh:
-        echo = json.load(fh)
     keys = ("function", "dimension", "rastrigin_constant")
-    if not isinstance(echo, dict) or not all(k in echo for k in keys):
-        raise ConfigError(f"{path} must hold the keys {keys}")
+    if not all(k in echo for k in keys):
+        raise ConfigError(f"the config.json under {in_dir} must hold the keys {keys}")
     return benchmarks.make_function(*(echo[k] for k in keys))
 
 
@@ -170,10 +194,11 @@ def main(argv=None):
         return _cmd_run(args)
     epsilon = getattr(args, "epsilon", None)
     try:
-        records = _read_records(args.in_dir)
+        echo = _read_echo(args.in_dir)
+        records = _read_records(args.in_dir, echo)
         opt_value = 0.0
         if epsilon is not None:
-            _, opt_value = benchmarks.optimum(_recorded_function(args.in_dir))
+            _, opt_value = benchmarks.optimum(_recorded_function(args.in_dir, echo))
     except (ValueError, OSError) as exc:  # ConfigError and bad JSON included
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,8 +7,6 @@ resampled noisy fitness, and a set of self-organized clusters
 evaluation cost, for as many generations (up to ``t_switch``) as their
 model's leave-one-out fidelity earns. At each switching step the clusters
 merge back, true fitness is resampled, and the population re-dissolves.
-Clusters that stay non-eligible for too many consecutive cycles are
-replaced by fresh random individuals.
 ``run`` fits each eligible cluster's surrogate before its pseudo
 generations, and ends when the next main generation or merge would overrun
 ``max_total_eval`` (``merge_and_resample`` then returns ``None``).
@@ -67,11 +65,6 @@ class PseudoPopulation:
     model: RegressionModel | None = None
     fidelity: float = 0.0
 
-    @property
-    def staleness(self):
-        """Consecutive non-eligible cycles, counted by the freshest member."""
-        return int(self.members.stale_cycles.min())
-
 
 @dataclass(frozen=True)
 class DpseaParams:
@@ -83,7 +76,6 @@ class DpseaParams:
     radius_fraction: float = 0.1
     kappa: float = 0.5
     s_min: int = 5
-    staleness_limit: int = 2
     rs_merge: int = 1
     max_total_eval: int = 90_000
     regression_lambda: float = 1e-6
@@ -100,8 +92,6 @@ class DpseaParams:
             raise ValueError("kappa must be in (0, 1]")
         if not 1 <= self.s_min <= self.ga.pop_size:
             raise ValueError("s_min must be in [1, pop_size]")
-        if self.staleness_limit < 1:
-            raise ValueError("staleness_limit must be >= 1")
         if self.rs_merge < 1:
             raise ValueError("rs_merge must be >= 1")
         if not 0.0 <= self.regression_lambda < math.inf:
@@ -186,21 +176,14 @@ def assess_eligibility(clusters, params):
 
     A cluster is eligible iff it has at least ``s_min`` members and its
     best member ranks within the top ``ceil(kappa * n_clusters)`` clusters
-    by best fitness (ties to lower seed index). Eligible clusters reset
-    their members' ``stale_cycles``; the rest age by one cycle, saturating
-    at ``staleness_limit``.
+    by best fitness (ties to lower seed index).
     """
     n = len(clusters)
     best = [c.members.fitness.min() for c in clusters]
     ranking = sorted(range(n), key=lambda i: (best[i], clusters[i].seed_index))
     top = set(ranking[: math.ceil(params.kappa * n)])
     for i, c in enumerate(clusters):
-        m = c.members
-        c.eligible = i in top and len(m) >= params.s_min
-        if c.eligible:
-            m.stale_cycles[:] = 0
-        else:
-            np.minimum(m.stale_cycles + 1, params.staleness_limit, out=m.stale_cycles)
+        c.eligible = i in top and len(c.members) >= params.s_min
     return clusters
 
 
@@ -288,29 +271,17 @@ def evolve_pseudo(cluster, fn, params, rng):
     return cluster
 
 
-def _random_individuals(fn, count, rng):
-    genomes = rng.uniform(fn.lower_bound, fn.upper_bound, (count, fn.dimension))
-    return Population.new(genomes, np.full(count, math.nan), sampled=False)
-
-
 def merge_and_resample(clusters, fn, noise, rng, budget, params):
     """Regain the main population and refresh fitness with true resampling.
 
-    Clusters that hit the staleness limit are replaced wholesale by fresh
-    uniform-random individuals; the rest contribute their members as-is,
-    cluster by cluster. The clusters must hold exactly ``pop_size``
-    members. Every member is then scored by ``rs_merge``-fold resampled
-    true fitness except the ``exempt`` elites (``unchanged and sampled``),
-    which keep their fitness and accrue ``total_unchanged``. When that
-    scoring would overrun ``max_total_eval``, returns ``None`` and charges
-    nothing.
+    The clusters contribute their members as-is, cluster by cluster, and
+    must hold exactly ``pop_size`` members between them. Every member is
+    then scored by ``rs_merge``-fold resampled true fitness except the
+    ``exempt`` elites (``unchanged and sampled``), which keep their fitness
+    and accrue ``total_unchanged``. When that scoring would overrun
+    ``max_total_eval``, returns ``None`` and charges nothing.
     """
-    parts = [
-        _random_individuals(fn, len(c.members), rng)
-        if c.staleness >= params.staleness_limit else c.members
-        for c in clusters
-    ]
-    pop = Population.concat(parts)
+    pop = Population.concat([c.members for c in clusters])
     if len(pop) != params.ga.pop_size:
         raise ValueError(
             f"clusters hold {len(pop)} members, not pop_size={params.ga.pop_size}"

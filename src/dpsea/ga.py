@@ -54,23 +54,19 @@ class Population:
 
     ``genomes`` is ``(n, D)``; ``fitness`` holds each individual's latest
     fitness, measured where ``sampled`` is set and a surrogate's estimate
-    elsewhere; ``unchanged`` marks elites copied without re-evaluation;
-    ``stale_cycles`` counts the consecutive switching cycles an individual
-    spent in non-eligible clusters.
+    elsewhere; ``unchanged`` marks elites copied without re-evaluation.
     """
 
     genomes: np.ndarray
     fitness: np.ndarray
     sampled: np.ndarray
     unchanged: np.ndarray
-    stale_cycles: np.ndarray
 
     @classmethod
     def new(cls, genomes, fitness, sampled):
-        """Fresh individuals: not elites, never stale."""
+        """Fresh individuals, none of them elites."""
         n = len(genomes)
-        return cls(genomes, fitness, np.full(n, sampled),
-                   np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64))
+        return cls(genomes, fitness, np.full(n, sampled), np.zeros(n, dtype=bool))
 
     @classmethod
     def concat(cls, parts):
@@ -92,8 +88,8 @@ class Population:
     def evolve(self, params, rng, bounds, score, *, sampled, mutation_rates=None):
         """The next generation by ``evolve_generation``.
 
-        Elites keep their ``sampled`` flag and staleness and are marked
-        ``unchanged``; offspring are marked ``sampled`` as given.
+        Elites keep their ``sampled`` flag and are marked ``unchanged``;
+        offspring are marked ``sampled`` as given.
         """
         genomes, fitness, elites = evolve_generation(
             self.genomes, self.fitness, params, rng, bounds, score,
@@ -105,11 +101,10 @@ class Population:
             fitness,
             np.concatenate([self.sampled[elites], np.full(n_off, sampled)]),
             np.arange(len(fitness)) < len(elites),
-            np.concatenate([self.stale_cycles[elites], np.zeros(n_off, np.int64)]),
         )
 
 
-_FIELDS = ("genomes", "fitness", "sampled", "unchanged", "stale_cycles")
+_FIELDS = ("genomes", "fitness", "sampled", "unchanged")
 
 
 def evolve_generation(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import numbers
 import os
 import secrets
@@ -96,8 +97,9 @@ def _is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite(value):
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _list_of(ok):
@@ -110,8 +112,8 @@ _RULES = {
                  lambda v: v in benchmarks.FUNCTION_IDS),
     "dimension": ("null or an integer", lambda v: v is None or _is_int(v)),
     "noisy": ("true or false", lambda v: isinstance(v, bool)),
-    "sigmas": ("a nonempty list of numbers >= 0",
-               _list_of(lambda v: _is_real(v) and v >= 0)),
+    "sigmas": ("a nonempty list of finite numbers >= 0",
+               _list_of(lambda v: _is_finite(v) and v >= 0)),
     "algo": (f"one of {ALGOS}", lambda v: v in ALGOS),
     "rs_list": ("a nonempty list of integers >= 1",
                 _list_of(lambda v: _is_int(v) and v >= 1)),
@@ -119,10 +121,11 @@ _RULES = {
     "base_seed": ("an integer", _is_int),
     "total_eval": ("null or an integer >= 1",
                    lambda v: v is None or _is_int(v) and v >= 1),
-    "rastrigin_constant": ("null or a number", lambda v: v is None or _is_real(v)),
-    "epsilon": ("an object mapping function ids to numbers",
+    "rastrigin_constant": ("null or a finite number",
+                           lambda v: v is None or _is_finite(v)),
+    "epsilon": ("an object mapping function ids to finite numbers",
                 lambda v: isinstance(v, dict) and all(
-                    k in benchmarks.FUNCTION_IDS and _is_real(x) for k, x in v.items())),
+                    k in benchmarks.FUNCTION_IDS and _is_finite(x) for k, x in v.items())),
     "params": (f"an object mapping algo ids {ALGOS} to blocks",
                lambda v: isinstance(v, dict) and all(k in ALGOS for k in v)),
 }
@@ -219,7 +222,8 @@ def build_params(algo, block, rs=None, total_eval=None):
     A key naming a ``GaParams`` field goes into ``ga`` when the dataclass
     has that field; any other field is set directly, except ``ga`` and the
     two that the sweep sets from ``rs`` and ``total_eval`` (``None`` keeps
-    the dataclass's value). An unknown key or bad value raises ``ConfigError``.
+    the dataclass's value). A float field takes any finite number. An
+    unknown key or bad value raises ``ConfigError``.
     """
     spec = REGISTRY[algo]
     _check(isinstance(block, dict), f"the {algo} block must be an object, got {block!r}")
@@ -228,9 +232,9 @@ def build_params(algo, block, rs=None, total_eval=None):
         _check(key in own or key in ga, f"unknown key {key!r} in the {algo} "
                f"block; expected one of {sorted({**own, **ga})}")
         default = own[key] if key in own else ga[key]  # a float or an int
-        is_type = _is_real if isinstance(default, float) else _is_int
-        _check(is_type(value),
-               f"{algo}.{key} must be {type(default).__name__}, got {value!r}")
+        what, ok = (("a finite number", _is_finite) if isinstance(default, float)
+                    else ("an integer", _is_int))
+        _check(ok(value), f"{algo}.{key} must be {what}, got {value!r}")
     kwargs = {k: v for k, v in block.items() if k in own}
     sweep = {spec.rs: rs, spec.budget: total_eval}
     kwargs.update({k: v for k, v in sweep.items() if v is not None})

@@ -145,6 +145,13 @@ class TestNoisyEvaluate:
         with pytest.raises(ValueError):
             NoiseModel(0.0, -1.0)
 
+    @pytest.mark.parametrize("mu, sigma", [
+        (0.0, np.inf), (0.0, np.nan), (np.inf, 1.0), (-np.inf, 1.0), (np.nan, 1.0),
+    ])
+    def test_non_finite_noise_rejected(self, mu, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(mu, sigma)
+
     def test_sample_mean_converges(self):
         # |mean - f(x)| < 4 sigma / sqrt(n) in >= 99% of repeated trials
         fn = make_function("sphere")

@@ -197,26 +197,16 @@ class TestEligibility:
         assess_eligibility(clusters, params)
         assert all(c.eligible for c in clusters)
 
-    def test_staleness_counts_and_saturates(self):
-        fn = make_function("sphere", dimension=2)
-        params = small_params(kappa=0.5, s_min=2, staleness_limit=2)
-        clusters = self._clusters(fn, params, [3, 3], [0.0, 1.0])
-        for cycle in range(4):
-            assess_eligibility(clusters, params)
-        assert clusters[0].staleness == 0
-        assert clusters[1].staleness == 2  # saturated at the limit
-
-    def test_eligibility_resets_member_counters(self):
+    def test_eligibility_follows_best_fitness(self):
         fn = make_function("sphere", dimension=2)
         params = small_params(kappa=0.5, s_min=2)
         clusters = self._clusters(fn, params, [3, 3], [0.0, 1.0])
         assess_eligibility(clusters, params)
-        assert all(clusters[1].members.stale_cycles == 1)
-        # swap fitness so the stale cluster wins the next cycle
+        assert [c.eligible for c in clusters] == [True, False]
+        # swap fitness so the non-eligible cluster wins the next cycle
         clusters[1].members.fitness -= 10.0
         assess_eligibility(clusters, params)
-        assert clusters[1].eligible
-        assert all(clusters[1].members.stale_cycles == 0)
+        assert [c.eligible for c in clusters] == [False, True]
 
 
 class TestAdaptiveMutationRate:
@@ -404,23 +394,23 @@ class TestMergeAndResample:
         # true sphere value at origin
         assert np.all(merged.fitness[~merged.unchanged] == 0.0)
 
-    def test_stale_cluster_replaced_by_randoms(self):
+    def test_non_eligible_clusters_merge_as_they_are(self):
         fn = make_function("sphere", dimension=2)
-        params = small_params(
-            ga=GaParams(pop_size=6, n_elites=1), staleness_limit=2
-        )
-        pop = make_pop(np.zeros((6, 2)))
-        clusters = self_organize(pop, fn, small_params(
-            ga=GaParams(pop_size=6, n_elites=1), radius_fraction=1.0))
-        clusters[0].members.stale_cycles[:] = 2
+        params = small_params(ga=GaParams(pop_size=6, n_elites=1), kappa=0.5,
+                              s_min=2, radius_fraction=0.01)
+        pop = make_pop([[i, -i] for i in range(6)])
+        clusters = self_organize(pop, fn, params)
+        for cycle in range(5):
+            assess_eligibility(clusters, params)
+        assert sum(c.eligible for c in clusters) < len(clusters)
         budget = Budget(pop_size=6, total_it=0, rs=1)
         merged = merge_and_resample(
             clusters, fn, NoiseModel(0.0, 0.0), RngState(7), budget, params
         )
-        # every original sits at the origin: no merged row may be one of them
-        assert not np.any(np.all(merged.genomes == 0.0, axis=1))
-        assert not merged.unchanged.any() and not merged.stale_cycles.any()
-        assert np.any(merged.genomes != 0.0)
+        assert np.array_equal(
+            merged.genomes, np.concatenate([c.members.genomes for c in clusters])
+        )
+        assert budget.total_eval == 6
 
     def test_short_cluster_set_raises(self):
         # clusters partition the population, so fewer members than

@@ -99,7 +99,7 @@ class TestBuildParams:
         ga = {"pop_size", "p_c", "p_m", "n_elites", "sigma_m"}
         expected = {
             "dpsea": ga | {"t_switch", "max_clusters", "radius_fraction", "kappa",
-                           "s_min", "staleness_limit", "regression_lambda",
+                           "s_min", "regression_lambda",
                            "quadratic_min_samples_factor"},
             "cga": ga,
             "de": {"pop_size", "cf", "f_scale"},
@@ -471,6 +471,13 @@ class TestCli:
         {"dimension": 0},
         {"de": {"pop_size": 3}},
         {"dpsea": {"s_min": 1000}},
+        {"dpsea": {"staleness_limit": 2}},
+        {"de": {"f_scale": math.inf}},
+        {"pso": {"w_start": math.nan}},
+        {"cga": {"sigma_m": math.inf}},
+        {"sigma": [math.inf]},
+        {"rastrigin_constant": math.inf},
+        {"success": {"epsilon": {"sphere": math.nan}}},
         {"regression": {"lambda": 1e-4}},
         {"format": "yaml"},
     ])
@@ -494,6 +501,54 @@ class TestCli:
         assert err.splitlines() == [err.strip()]
         assert err.startswith("error: invalid configuration:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["inf", "0,nan"])
+    def test_non_finite_sigma_flag_exits_1_before_any_run(
+        self, sigma, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        out = tmp_path / "res"
+        code, _, err = self.run_cli([
+            "run", "--algo", "cga", "--repeats", "1", "--seed", "3",
+            "--total-eval", "2000", "--sigma", sigma, "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: invalid configuration:")
+        assert "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--rs", "x"],
+        ["run", "--repeats", "1.5"],
+        ["run", "--sigma", "0,abc"],
+        ["run", "--algo", "nope"],
+        ["summarize"],
+        [],
+    ])
+    def test_usage_error_exits_1(self, argv, tmp_path, capsys, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        out = tmp_path / "res"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(out)] if argv[:1] == ["run"] else argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: invalid configuration:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     @pytest.mark.parametrize("block", [
         {"regression_lambda": -1},
@@ -671,6 +726,29 @@ class TestCli:
             ]
         assert all(code == 0 for code, _, _ in outputs["json"])
         assert outputs["json"] == outputs["csv"]
+
+    def test_summarize_reads_the_format_config_json_names(self, tmp_path, capsys):
+        # a csv run, then a json run into the same directory: the csv is stale
+        out = str(tmp_path / "res")
+        for sigma, seed, fmt in (("0", "1", "csv"), ("0.5", "2", "json")):
+            code, _, err = self.run_cli([
+                "run", "--algo", "cga", "--function", "sphere", "--sigma", sigma,
+                "--rs", "1", "--repeats", "1", "--seed", seed, "--total-eval",
+                "500", "--format", fmt, "--out", out,
+            ], capsys)
+            assert code == 0, err
+        sigma_of = lambda stdout: stdout.splitlines()[1].split(",")[2]
+        code, stdout, _ = self.run_cli(["summarize", "--in", out], capsys)
+        assert code == 0
+        assert sigma_of(stdout) == "0.5"
+        code, stdout, _ = self.run_cli(["success", "--in", out], capsys)
+        assert (code, stdout.splitlines()[1]) == (0, "0.5,0")
+
+        # without config.json, runs.csv comes first
+        os.remove(os.path.join(out, "config.json"))
+        code, stdout, _ = self.run_cli(["summarize", "--in", out], capsys)
+        assert code == 0
+        assert sigma_of(stdout) == "0.0"
 
     def test_malformed_runs_json_exits_1(self, tmp_path, capsys):
         (tmp_path / "runs.json").write_text(json.dumps([{"function": "sphere"}]))

@@ -92,7 +92,13 @@ def main(argv=None):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 root = args.parent if side == "parent" else args.change
-                env, result = run_once(root, workload, args.seconds, args.seed)
+                try:
+                    env, result = run_once(root, workload, args.seconds, args.seed)
+                except subprocess.CalledProcessError as exc:
+                    print(f"{workload} pair {i} {side}: perfbench exited "
+                          f"{exc.returncode}; its stderr:\n{exc.stderr}",
+                          file=sys.stderr, flush=True)
+                    raise
                 entry.setdefault("env", env)
                 pair[side] = result
                 print(f"{workload} pair {i} {side}: run_cal "
