@@ -10,12 +10,13 @@ scored by the true (noiseless) fitness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ga import GaParams, evolve_generation
-from .results import BestSoFar, CycleRecord
+from .results import CycleRecord, RunResult
 from .stochastics import Budget, check_budget, resample_many
 
 __all__ = ["CgaConfig", "DeConfig", "PsoConfig", "run_cga", "run_de", "run_pso",
@@ -45,6 +46,8 @@ class DeConfig:
             raise ValueError("DE needs pop_size >= 4")
         if not 0.0 <= self.cf <= 1.0:
             raise ValueError("cf must be in [0, 1]")
+        if not math.isfinite(self.f_scale):
+            raise ValueError("f_scale must be finite")
         check_budget(self.total_eval, self.pop_size, self.rs)
 
 
@@ -59,6 +62,9 @@ class PsoConfig:
     total_eval: int = 100_000
 
     def __post_init__(self):
+        for name in ("w_start", "w_end", "phi_min", "phi_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.w_end > self.w_start:
             raise ValueError("w_end must not exceed w_start")
         if self.phi_min > self.phi_max:
@@ -71,13 +77,11 @@ def run_cga(fn, noise, cfg, rng):
     total_it = cfg.total_eval // (cfg.ga.pop_size * cfg.rs)
     budget = Budget(pop_size=cfg.ga.pop_size, total_it=total_it, rs=cfg.rs)
     lo, hi = fn.bounds
-    best = BestSoFar(fn)
 
     genomes = rng.uniform(lo, hi, (cfg.ga.pop_size, fn.dimension))
     vals = resample_many(fn, genomes, cfg.rs, noise, rng, budget)
-    best.update(genomes)
 
-    trace = [CycleRecord(0, budget.total_eval, best.best_fitness)]
+    trace = [CycleRecord(0, budget.total_eval, budget.best.best_fitness)]
     for it in range(1, total_it):
         genomes, vals, _ = evolve_generation(
             genomes,
@@ -88,9 +92,8 @@ def run_cga(fn, noise, cfg, rng):
             lambda xs: resample_many(fn, xs, cfg.rs, noise, rng, budget),
         )
         budget.skip(cfg.ga.n_elites * cfg.rs)
-        best.update(genomes[cfg.ga.n_elites :])
-        trace.append(CycleRecord(it, budget.total_eval, best.best_fitness))
-    return best.result(budget, trace)
+        trace.append(CycleRecord(it, budget.total_eval, budget.best.best_fitness))
+    return RunResult.from_budget(budget, trace)
 
 
 def _distinct_triples(n, rng):
@@ -117,13 +120,11 @@ def run_de(fn, noise, cfg, rng):
     budget = Budget(pop_size=cfg.pop_size, total_it=total_it, rs=cfg.rs)
     lo, hi = fn.bounds
     n, d = cfg.pop_size, fn.dimension
-    best = BestSoFar(fn)
 
     xs = rng.uniform(lo, hi, (n, d))
     fs = resample_many(fn, xs, cfg.rs, noise, rng, budget)
-    best.update(xs)
 
-    trace = [CycleRecord(0, budget.total_eval, best.best_fitness)]
+    trace = [CycleRecord(0, budget.total_eval, budget.best.best_fitness)]
     for it in range(1, total_it):
         r = _distinct_triples(n, rng)
         mutant = xs[r[:, 0]] + cfg.f_scale * (xs[r[:, 1]] - xs[r[:, 2]])
@@ -136,9 +137,8 @@ def run_de(fn, noise, cfg, rng):
         better = tf <= fs
         xs[better] = trial[better]
         fs[better] = tf[better]
-        best.update(trial)
-        trace.append(CycleRecord(it, budget.total_eval, best.best_fitness))
-    return best.result(budget, trace)
+        trace.append(CycleRecord(it, budget.total_eval, budget.best.best_fitness))
+    return RunResult.from_budget(budget, trace)
 
 
 def inertia_weight(it, total_it, w_start, w_end):
@@ -154,7 +154,6 @@ def run_pso(fn, noise, cfg, rng):
     budget = Budget(pop_size=cfg.pop_size, total_it=total_it, rs=cfg.rs)
     lo, hi = fn.bounds
     n, d = cfg.pop_size, fn.dimension
-    best = BestSoFar(fn)
 
     xs = rng.uniform(lo, hi, (n, d))
     vs = np.zeros((n, d))
@@ -164,9 +163,8 @@ def run_pso(fn, noise, cfg, rng):
     g = int(np.argmin(fs))
     gbest = xs[g].copy()
     gbest_f = float(fs[g])
-    best.update(xs)
 
-    trace = [CycleRecord(0, budget.total_eval, best.best_fitness)]
+    trace = [CycleRecord(0, budget.total_eval, budget.best.best_fitness)]
     for it in range(1, total_it):
         w = inertia_weight(it, total_it, cfg.w_start, cfg.w_end)
         phi1 = rng.uniform(cfg.phi_min, cfg.phi_max, (n, d))
@@ -181,6 +179,5 @@ def run_pso(fn, noise, cfg, rng):
         if pbest_f[g] < gbest_f:
             gbest_f = float(pbest_f[g])
             gbest = pbest[g].copy()
-        best.update(xs)
-        trace.append(CycleRecord(it, budget.total_eval, best.best_fitness))
-    return best.result(budget, trace)
+        trace.append(CycleRecord(it, budget.total_eval, budget.best.best_fitness))
+    return RunResult.from_budget(budget, trace)

@@ -27,7 +27,7 @@ import numpy as np
 from . import _blas, regression
 from .ga import GaParams, Population
 from .regression import ModelKind, RegressionModel
-from .results import BestSoFar, CycleRecord
+from .results import CycleRecord, RunResult
 from .stochastics import Budget, check_budget, resample_many
 
 __all__ = [
@@ -54,7 +54,10 @@ class PseudoPopulation:
     genomes ``(m, D)`` and fitness ``(m,)`` that came from actual resampled
     evaluation at the latest switching step; regression models are fitted
     on it, never on estimated values. ``fidelity`` is the model's
-    leave-one-out rank correlation on that archive.
+    leave-one-out rank correlation on that archive. ``fit_surrogate`` also
+    fixes the cluster's GA settings for the cycle, since its size does not
+    change until the merge: ``ga`` (``pop_size`` the cluster size) and
+    ``rates``, the adaptive mutation rate of each fitness rank.
     """
 
     members: Population
@@ -64,6 +67,8 @@ class PseudoPopulation:
     eligible: bool = False
     model: RegressionModel | None = None
     fidelity: float = 0.0
+    ga: GaParams | None = None
+    rates: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -211,6 +216,8 @@ def fit_surrogate(cluster, fn, params):
     ``ValueError`` (in ``run`` every cluster's seed is in the sample pool,
     so its archive is never empty). ``regression.fit_rated`` gives the model
     and ``fidelity``, its leave-one-out rank correlation on the archive.
+    The cluster's ``ga`` and rate table ``rates`` for ``evolve_pseudo`` are
+    set here too, once per cycle.
     """
     xs, ys = cluster.archive
     lam = params.regression_lambda
@@ -218,6 +225,12 @@ def fit_surrogate(cluster, fn, params):
         len(ys), fn.dimension, params.quadratic_min_samples_factor
     )
     cluster.model, cluster.fidelity = regression.fit_rated(xs, ys, kind, lam)
+    size = len(cluster.members)
+    fracs = np.arange(size) / (size - 1) if size > 1 else np.zeros(1)
+    cluster.rates = adaptive_mutation_rate(fracs, size, params)
+    cluster.ga = replace(
+        params.ga, pop_size=size, n_elites=min(params.ga.n_elites, size - 1)
+    )
     return cluster
 
 
@@ -240,33 +253,25 @@ def evolve_pseudo(cluster, fn, params, rng):
     Evolves the members for one generation with fitness given by the
     surrogate that ``fit_surrogate`` fitted on the cluster's archive (the
     archive is fixed between merges, so one fit serves every generation),
-    and per-member adaptive mutation rates. The rates set how many genes
-    mutate; the step itself is the absolute ``sqrt(ga.sigma_m)`` of
-    ``GaParams``, not scaled to the domain or the cluster. Consumes zero
-    true evaluations; within-cluster elitism keeps the current best member
-    by fitness, which mixes measured and estimated values. Offspring are
-    not ``sampled``. An ineligible or unfitted cluster raises ``ValueError``.
+    with the cluster's ``ga`` settings and adaptive mutation rates by
+    fitness rank, both fixed by ``fit_surrogate`` for the cycle. The rates
+    set how many genes mutate; the step itself is the absolute
+    ``sqrt(ga.sigma_m)`` of ``GaParams``, not scaled to the domain or the
+    cluster. Consumes zero true evaluations; within-cluster elitism keeps
+    the current best member by fitness, which mixes measured and estimated
+    values. Offspring are not ``sampled``. An ineligible or unfitted
+    cluster raises ``ValueError``.
     """
     model = cluster.model
     if not cluster.eligible or model is None:
         raise ValueError("only eligible, fitted pseudo-populations may evolve")
-    members = cluster.members
-    size = len(members)
-
-    order = np.argsort(members.fitness, kind="stable")
-    fracs = np.arange(size) / (size - 1) if size > 1 else np.zeros(1)
-    rates = np.empty(size)
-    rates[order] = adaptive_mutation_rate(fracs, size, params)
-
-    n_elites = min(params.ga.n_elites, size - 1)
-    local = replace(params.ga, pop_size=size, n_elites=n_elites)
-    cluster.members = members.evolve(
-        local,
+    cluster.members = cluster.members.evolve(
+        cluster.ga,
         rng,
         fn.bounds,
         lambda xs: regression.predict_many(model, xs),
         sampled=False,
-        mutation_rates=rates,
+        mutation_rates=cluster.rates,
     )
     return cluster
 
@@ -278,7 +283,9 @@ def merge_and_resample(clusters, fn, noise, rng, budget, params):
     must hold exactly ``pop_size`` members between them. Every member is
     then scored by ``rs_merge``-fold resampled true fitness except the
     ``exempt`` elites (``unchanged and sampled``), which keep their fitness
-    and accrue ``total_unchanged``. When that scoring would overrun
+    and accrue ``total_unchanged``; only the rescored rows reach the
+    budget's best-so-far tracker, the exempt ones having reached it when
+    they were last evaluated. When that scoring would overrun
     ``max_total_eval``, returns ``None`` and charges nothing.
     """
     pop = Population.concat([c.members for c in clusters])
@@ -339,9 +346,10 @@ def run(fn, noise, params, rng):
     the eligible clusters (``surrogate_generations``: up to ``t_switch``,
     as many as the model's leave-one-out fidelity earns, with the same
     absolute step), then merge with true resampling. The returned best-ever
-    solution is scored by the noiseless fitness (scoring does not count
-    against the budget). The run keeps OpenBLAS on one thread
-    (``_blas.one_thread``), so parallel runs do not contend for cores.
+    solution is scored by the noiseless fitness, which ``resample_many``
+    computes anyway for every charged point and offers to ``Budget.best``.
+    The run keeps OpenBLAS on one thread (``_blas.one_thread``), so
+    parallel runs do not contend for cores.
     """
     rs = params.rs_merge
     budget = Budget(pop_size=params.ga.pop_size, total_it=0, rs=rs)
@@ -349,8 +357,6 @@ def run(fn, noise, params, rng):
     design_x, design_y = initial_design(fn, noise, params, rng, budget)
     keep = np.argsort(design_y, kind="stable")[: params.ga.pop_size]
     pop = Population.new(design_x[keep], design_y[keep], sampled=True)
-    best = BestSoFar(fn)
-    best.update(design_x)
 
     # pool of (genome, resampled fitness) observations gathered since the
     # last dissolve; becomes the clusters' regression archives
@@ -371,7 +377,6 @@ def run(fn, noise, params, rng):
             sampled=True,
         )
         budget.skip(n_elites * rs)
-        best.update(pop.genomes[n_elites:])
         pool_x.append(pop.genomes[n_elites:])
         pool_y.append(pop.fitness[n_elites:])
 
@@ -391,17 +396,16 @@ def run(fn, noise, params, rng):
 
         pop = merge_and_resample(clusters, fn, noise, rng, budget, params)
         if pop is not None:
-            best.update(pop.genomes)
             pool_x.append(pop.genomes)
             pool_y.append(pop.fitness)
         trace.append(
             CycleRecord(
                 len(trace),
                 budget.total_eval,
-                best.best_fitness,
+                budget.best.best_fitness,
                 len(clusters),
                 sum(1 for c in clusters if c.eligible),
             )
         )
 
-    return best.result(budget, trace)
+    return RunResult.from_budget(budget, trace)

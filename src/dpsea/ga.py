@@ -44,8 +44,8 @@ class GaParams:
             raise ValueError("p_m must be in [0, 1]")
         if not 0 <= self.n_elites < self.pop_size:
             raise ValueError("n_elites must satisfy 0 <= n_elites < pop_size")
-        if self.sigma_m < 0:
-            raise ValueError("sigma_m must be nonnegative")
+        if not 0.0 <= self.sigma_m < math.inf:
+            raise ValueError("sigma_m must be finite and nonnegative")
 
 
 @dataclass
@@ -117,8 +117,10 @@ def evolve_generation(
     kept; the remaining rows are offspring from binary tournaments (ties to
     the lower row), whole-arithmetic crossover and Gaussian mutation, scored
     in one call ``score(children)`` on their ``(n_off, D)`` genomes.
-    ``mutation_rates`` optionally gives a per-row mutation rate; offspring
-    inherit their first parent's rate.
+    ``mutation_rates`` optionally gives a mutation rate per fitness rank:
+    ``mutation_rates[k]`` belongs to the row ranked ``k`` by the stable sort
+    of ``fitness`` (0 the best), and each child of a pair takes the rate of
+    the parent in its slot. Without it every offspring mutates at ``p_m``.
 
     Returns ``(genomes, fitness, elites)``: the new generation, elites first,
     and the input rows the elites were copied from.
@@ -140,27 +142,30 @@ def evolve_generation(
 
     u_cross = rng.uniform(size=n_pairs)
     alphas = rng.uniform(size=n_pairs)
+    d = genomes.shape[1]
     pa = genomes[parents[:, 0]]
     pb = genomes[parents[:, 1]]
     al = alphas[:, None]
+    bl = 1 - al
     crossed = u_cross[:, None] < params.p_c
-    c1 = np.where(crossed, al * pa + (1 - al) * pb, pa)
-    c2 = np.where(crossed, (1 - al) * pa + al * pb, pb)
-    children = np.stack([c1, c2], axis=1).reshape(2 * n_pairs, -1)[:n_off]
+    pairs = np.empty((n_pairs, 2, d))
+    pairs[:, 0] = np.where(crossed, al * pa + bl * pb, pa)
+    pairs[:, 1] = np.where(crossed, bl * pa + al * pb, pb)
+    children = pairs.reshape(2 * n_pairs, d)[:n_off]
     child_parents = parents.reshape(-1)[:n_off]
 
     if mutation_rates is None:
-        rates = np.full(n_off, params.p_m)
+        rates = params.p_m
     else:
-        rates = np.asarray(mutation_rates, dtype=np.float64)[child_parents]
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        rates = np.asarray(mutation_rates, dtype=np.float64)[rank[child_parents], None]
 
-    d = genomes.shape[1]
-    mask = rng.uniform(size=(n_off, d)) < rates[:, None]
+    mask = rng.uniform(size=(n_off, d)) < rates
     if params.sigma_m > 0:
         noise = rng.normal(0.0, math.sqrt(params.sigma_m), (n_off, d))
-    else:
-        noise = np.zeros((n_off, d))
-    children = np.clip(children + np.where(mask, noise, 0.0), bounds[0], bounds[1])
+        children += np.where(mask, noise, 0.0)
+    np.clip(children, bounds[0], bounds[1], out=children)
 
     scores = np.asarray(score(children), dtype=np.float64)
     return (

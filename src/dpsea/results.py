@@ -6,10 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import benchmarks
 from .stochastics import Budget
 
-__all__ = ["CycleRecord", "RunResult", "BestSoFar"]
+__all__ = ["CycleRecord", "RunResult"]
 
 
 @dataclass(frozen=True)
@@ -32,21 +31,7 @@ class RunResult:
     budget: Budget
     trace: list[CycleRecord] = field(default_factory=list)
 
-
-class BestSoFar:
-    """Running minimum of the true (noiseless) fitness of every genome updated."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.best_genome = None
-        self.best_fitness = np.inf
-
-    def update(self, xs):
-        tv = benchmarks.evaluate_many(self.fn, xs)
-        i = int(np.argmin(tv))
-        if tv[i] < self.best_fitness:
-            self.best_fitness = float(tv[i])
-            self.best_genome = np.array(xs[i], copy=True)
-
-    def result(self, budget, trace):
-        return RunResult(self.best_genome, self.best_fitness, budget, trace)
+    @classmethod
+    def from_budget(cls, budget, trace):
+        """The result of a run: the best-so-far its ``budget`` tracked."""
+        return cls(budget.best.best_genome, budget.best.best_fitness, budget, trace)

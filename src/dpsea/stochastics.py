@@ -2,18 +2,26 @@
 
 The generator is numpy's PCG64, wrapped so that every run owns a single
 stream. ``resample_many`` is the one path that adds Gaussian noise to true
-fitness.
+fitness, and the one place a run computes true fitness: it offers those
+values to the budget's best-so-far tracker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import benchmarks
 
-__all__ = ["RngState", "Budget", "check_budget", "resampled_fitness", "resample_many"]
+__all__ = [
+    "RngState",
+    "BestSoFar",
+    "Budget",
+    "check_budget",
+    "resampled_fitness",
+    "resample_many",
+]
 
 _MASK64 = (1 << 64) - 1
 
@@ -44,6 +52,29 @@ class RngState:
         return f"RngState(seed={self.seed})"
 
 
+class BestSoFar:
+    """Running minimum of the true (noiseless) fitness of every genome offered.
+
+    Every ``Budget`` holds one (``Budget.best``), and ``resample_many``
+    offers it each charged batch with the true fitness it has already
+    computed; the tracker never evaluates anything.
+    """
+
+    def __init__(self):
+        self.best_genome = None
+        self.best_fitness = np.inf
+
+    def offer(self, xs, values):
+        """Keep the row of ``xs`` with the least true fitness ``values`` if it
+        beats the best so far (ties keep the earlier genome)."""
+        if len(values) == 0:
+            return
+        i = int(np.argmin(values))
+        if values[i] < self.best_fitness:
+            self.best_fitness = float(values[i])
+            self.best_genome = np.array(xs[i], copy=True)
+
+
 @dataclass
 class Budget:
     """Evaluation accounting for one run.
@@ -52,6 +83,8 @@ class Budget:
     counts the evaluations skipped for carried-over individuals. For the
     fixed-schedule baselines these satisfy
     ``pop_size * total_it * rs - total_unchanged == total_eval`` exactly.
+    ``best`` tracks the run's best-so-far: every point charged through
+    ``resample_many`` is offered to it with its true fitness.
     """
 
     pop_size: int
@@ -59,6 +92,7 @@ class Budget:
     rs: int
     total_unchanged: int = 0
     total_eval: int = 0
+    best: BestSoFar = field(default_factory=BestSoFar, repr=False, compare=False)
 
     def charge(self, n):
         self.total_eval += int(n)
@@ -80,12 +114,18 @@ def resampled_fitness(fn, x, rs, noise, rng, budget):
 
 
 def resample_many(fn, xs, rs, noise, rng, budget):
-    """Mean of ``rs`` noisy evaluations of each row of ``xs``; charges n*rs."""
+    """Mean of ``rs`` noisy evaluations of each row of ``xs``; charges n*rs.
+
+    The true fitness of each row is computed once, here: it is the base of
+    the noisy mean and is offered with the rows to ``budget.best``, so a
+    run never evaluates a charged point twice.
+    """
     if rs < 1:
         raise ValueError(f"rs must be a positive integer, got {rs}")
     xs = np.asarray(xs, dtype=np.float64)
     base = benchmarks.evaluate_many(fn, xs)
     budget.charge(xs.shape[0] * rs)
+    budget.best.offer(xs, base)
     if noise.sigma == 0.0:
         return base + noise.mu
     draws = rng.normal(noise.mu, noise.sigma, (xs.shape[0], rs))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,14 @@ class TestConfigs:
             PsoConfig(w_start=0.5, w_end=0.9)
         with pytest.raises(ValueError):
             PsoConfig(phi_min=3.0, phi_max=2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected(self, bad):
+        with pytest.raises(ValueError, match="f_scale"):
+            DeConfig(f_scale=bad)
+        for name in ("w_start", "w_end", "phi_min", "phi_max"):
+            with pytest.raises(ValueError, match=name):
+                PsoConfig(**{name: bad})
 
     def test_infeasible_budget_rejected(self):
         # rejected on construction: the first population costs pop_size * rs

@@ -1,7 +1,11 @@
+import copy
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dpsea.benchmarks import NoiseModel, make_function
+from dpsea.benchmarks import NoiseModel, evaluate_many, make_function
 from dpsea.engine import (
     DpseaParams,
     adaptive_mutation_rate,
@@ -15,7 +19,7 @@ from dpsea.engine import (
     surrogate_generations,
 )
 from dpsea.ga import GaParams, Population
-from dpsea.regression import ModelKind
+from dpsea.regression import ModelKind, predict_many
 from dpsea.stochastics import Budget, RngState
 
 
@@ -313,6 +317,91 @@ class TestEvolvePseudo:
         c.eligible = True
         evolve_pseudo(fit_surrogate(c, fn, params), fn, params, RngState(0))
         assert len(c.members) == 1
+
+
+def per_row_generation(genomes, fitness, params, rng, bounds, score, rates):
+    """The GA step with one mutation rate per row: each child of a pair
+    takes the rate of the parent in its slot. Same draws, in the same order,
+    as ``ga.evolve_generation``."""
+    n = len(fitness)
+    order = np.argsort(fitness, kind="stable")
+    elites = order[: params.n_elites]
+    n_off = n - params.n_elites
+    n_pairs = (n_off + 1) // 2
+    draws = rng.integers(0, n, (n_pairs, 2, 2))
+    a, b = draws[..., 0], draws[..., 1]
+    a_wins = (fitness[a] < fitness[b]) | ((fitness[a] == fitness[b]) & (a < b))
+    parents = np.where(a_wins, a, b)
+    u_cross = rng.uniform(size=n_pairs)
+    alphas = rng.uniform(size=n_pairs)
+    pa = genomes[parents[:, 0]]
+    pb = genomes[parents[:, 1]]
+    al = alphas[:, None]
+    crossed = u_cross[:, None] < params.p_c
+    c1 = np.where(crossed, al * pa + (1 - al) * pb, pa)
+    c2 = np.where(crossed, (1 - al) * pa + al * pb, pb)
+    children = np.stack([c1, c2], axis=1).reshape(2 * n_pairs, -1)[:n_off]
+    child_rates = rates[parents.reshape(-1)[:n_off]]
+    d = genomes.shape[1]
+    mask = rng.uniform(size=(n_off, d)) < child_rates[:, None]
+    noise = rng.normal(0.0, math.sqrt(params.sigma_m), (n_off, d))
+    children = np.clip(children + np.where(mask, noise, 0.0), bounds[0], bounds[1])
+    return (
+        np.concatenate([genomes[elites], children]),
+        np.concatenate([fitness[elites], score(children)]),
+        elites,
+    )
+
+
+def per_generation_evolve_pseudo(cluster, fn, params, rng):
+    """``evolve_pseudo`` as it was before the cluster kept its rate table:
+    sort the members, rate every row and build the cluster's ``GaParams``
+    on every call."""
+    model = cluster.model
+    members = cluster.members
+    size = len(members)
+    order = np.argsort(members.fitness, kind="stable")
+    fracs = np.arange(size) / (size - 1) if size > 1 else np.zeros(1)
+    rates = np.empty(size)
+    rates[order] = adaptive_mutation_rate(fracs, size, params)
+    local = replace(params.ga, pop_size=size, n_elites=min(params.ga.n_elites, size - 1))
+    genomes, fitness, elites = per_row_generation(
+        members.genomes, members.fitness, local, rng, fn.bounds,
+        lambda xs: predict_many(model, xs), rates,
+    )
+    n_off = size - len(elites)
+    cluster.members = Population(
+        genomes,
+        fitness,
+        np.concatenate([members.sampled[elites], np.zeros(n_off, dtype=bool)]),
+        np.arange(size) < len(elites),
+    )
+    return cluster
+
+
+class TestPseudoGenerationOracle:
+    def test_interleaved_clusters_match_the_per_generation_path(self):
+        # four clusters of a scattered population, all eligible, evolved
+        # generation-major as run does: the rate table and GaParams each
+        # cluster keeps from fit_surrogate give the bits of recomputing them
+        fn = make_function("rastrigin1", dimension=5)
+        params = DpseaParams(radius_fraction=0.01, max_clusters=4, kappa=1.0, s_min=2)
+        rng = np.random.default_rng(5)
+        genomes = rng.uniform(-5.12, 5.12, (100, 5))
+        fits = evaluate_many(fn, genomes) + rng.normal(0.0, 0.5, 100)
+        clusters = self_organize(make_pop(genomes, fits), fn, params)
+        assess_eligibility(clusters, params)
+        ours = [fit_surrogate(c, fn, params) for c in clusters if c.eligible]
+        assert len(ours) == 4
+        assert len({len(c.members) for c in ours}) > 1
+        ref = copy.deepcopy(ours)
+        ours_rng, ref_rng = RngState(9), RngState(9)
+        for _ in range(params.t_switch):
+            for c, r in zip(ours, ref):
+                evolve_pseudo(c, fn, params, ours_rng)
+                per_generation_evolve_pseudo(r, fn, params, ref_rng)
+                for f in ("genomes", "fitness", "sampled", "unchanged"):
+                    assert getattr(c.members, f).tobytes() == getattr(r.members, f).tobytes()
 
 
 class TestSurrogateGenerations:

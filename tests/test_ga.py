@@ -132,6 +132,8 @@ class TestGaParams:
             {"p_m": -0.1},
             {"n_elites": 100},
             {"sigma_m": -1.0},
+            {"sigma_m": math.nan},
+            {"sigma_m": math.inf},
         ],
     )
     def test_validation(self, kwargs):
@@ -315,6 +317,42 @@ class TestEvolveGeneration:
             )
             assert np.array_equal(genomes[4 + j], got.genome)
             assert fitness[4 + j] == pytest.approx(float(np.sum(got.genome**2)))
+
+    def test_rates_by_rank_match_a_per_row_reference(self):
+        # the rate table is indexed by fitness rank; the reference gives each
+        # row the rate of its rank, counted directly (ties to the lower row),
+        # and replays the draws through the scalar oracles
+        params = GaParams(pop_size=20, n_elites=4, p_c=0.6, p_m=0.4, sigma_m=0.25)
+        fitness = np.array([3.0, 1.0, 3.0, 0.5, 2.0] * 4)
+        table = np.linspace(0.05, 0.95, 20)
+        row_rate = [
+            table[sum((g, j) < (f, i) for j, g in enumerate(fitness))]
+            for i, f in enumerate(fitness)
+        ]
+        rng = RecordingRng(8)
+        genomes, _, _ = evolve_generation(
+            self.genomes, fitness, params, rng, (-1.0, 1.0), self.sphere,
+            mutation_rates=table,
+        )
+        draws, u_cross, alphas, mask_u, noise = rng.draws
+        pop = [Individual(g, f) for g, f in zip(self.genomes, fitness)]
+        children = []
+        for k in range(len(u_cross)):
+            a, b = (
+                tournament_select(pop, 2, FakeRng(ints=draws[k, slot].tolist()))
+                for slot in range(2)
+            )
+            # each child of a pair mutates at the rate of the parent in its slot
+            rates = [row_rate[next(i for i, p in enumerate(pop) if p is q)] for q in (a, b)]
+            children += zip(arithmetic_crossover(
+                a, b, params.p_c, FakeRng(uniforms=[u_cross[k], alphas[k]])
+            ), rates)
+        for j, (child, rate) in enumerate(children):
+            got = gaussian_mutate(
+                child, rate, params.sigma_m, (-1.0, 1.0),
+                FakeRng(uniforms=mask_u[j], normals=[noise[j]]),
+            )
+            assert np.array_equal(genomes[4 + j], got.genome)
 
     def test_offspring_within_bounds(self):
         genomes, _, _ = evolve_generation(

@@ -1,4 +1,4 @@
-"""Golden runs: exact results of fixed-seed DPSEA and cGA runs.
+"""Golden runs: exact results of fixed-seed DPSEA, cGA, DE and PSO runs.
 
 Each case pins ``best_fitness``, ``best_genome``, the budget's
 ``total_eval`` and ``total_unchanged`` and every ``CycleRecord`` of the
@@ -364,6 +364,77 @@ CGA_GOLDEN = [
     ),
 ]
 
+DE_GOLDEN = [
+    Golden(
+        function='sphere', dimension=5, sigma=0.5, rs=2, budget=2000, seed=31,
+        best_fitness=29.934668446143537,
+        best_genome=[
+            -0.27541963604875974,
+            3.223518281559759,
+            -2.500715659709602,
+            0.879363481256143,
+            3.5271636502703654,
+        ],
+        total_eval=2000,
+        total_unchanged=0,
+        trace=[
+            (0, 100, 2295.589542892767, 0, 0),
+            (1, 200, 1844.718701762735, 0, 0),
+            (2, 300, 1844.718701762735, 0, 0),
+            (3, 400, 1844.718701762735, 0, 0),
+            (4, 500, 1269.8553625871853, 0, 0),
+            (5, 600, 1269.8553625871853, 0, 0),
+            (6, 700, 1269.8553625871853, 0, 0),
+            (7, 800, 956.7088873208494, 0, 0),
+            (8, 900, 213.3295855509547, 0, 0),
+            (9, 1000, 213.3295855509547, 0, 0),
+            (10, 1100, 213.3295855509547, 0, 0),
+            (11, 1200, 213.3295855509547, 0, 0),
+            (12, 1300, 213.3295855509547, 0, 0),
+            (13, 1400, 213.3295855509547, 0, 0),
+            (14, 1500, 213.3295855509547, 0, 0),
+            (15, 1600, 213.3295855509547, 0, 0),
+            (16, 1700, 213.3295855509547, 0, 0),
+            (17, 1800, 102.92019932858517, 0, 0),
+            (18, 1900, 29.934668446143537, 0, 0),
+            (19, 2000, 29.934668446143537, 0, 0),
+        ],
+    ),
+]
+
+PSO_GOLDEN = [
+    Golden(
+        function='rastrigin1', dimension=5, sigma=1.0, rs=3, budget=900, seed=32,
+        best_fitness=35.6488894412293,
+        best_genome=[
+            -1.8838738978899388,
+            1.5184008456744507,
+            -0.01578145647842233,
+            0.1837604098343526,
+            -0.9572466194395748,
+        ],
+        total_eval=900,
+        total_unchanged=0,
+        trace=[
+            (0, 60, 55.48398378062194, 0, 0),
+            (1, 120, 41.223510288924516, 0, 0),
+            (2, 180, 41.223510288924516, 0, 0),
+            (3, 240, 41.223510288924516, 0, 0),
+            (4, 300, 41.223510288924516, 0, 0),
+            (5, 360, 39.08365143664618, 0, 0),
+            (6, 420, 39.08365143664618, 0, 0),
+            (7, 480, 39.08365143664618, 0, 0),
+            (8, 540, 39.08365143664618, 0, 0),
+            (9, 600, 39.08365143664618, 0, 0),
+            (10, 660, 39.08365143664618, 0, 0),
+            (11, 720, 39.08365143664618, 0, 0),
+            (12, 780, 35.6488894412293, 0, 0),
+            (13, 840, 35.6488894412293, 0, 0),
+            (14, 900, 35.6488894412293, 0, 0),
+        ],
+    ),
+]
+
 
 @pytest.mark.parametrize("want", DPSEA_GOLDEN, ids=case_id)
 def test_dpsea_run_is_bit_identical(want):
@@ -378,4 +449,20 @@ def test_run_cga_is_bit_identical(want):
     fn = make_function(want.function, dimension=want.dimension)
     cfg = baselines.CgaConfig(rs=want.rs, total_eval=want.budget)
     res = baselines.run_cga(fn, NoiseModel(0.0, want.sigma), cfg, RngState(want.seed))
+    assert_matches(res, want)
+
+
+@pytest.mark.parametrize("want", DE_GOLDEN, ids=case_id)
+def test_run_de_is_bit_identical(want):
+    fn = make_function(want.function, dimension=want.dimension)
+    cfg = baselines.DeConfig(rs=want.rs, total_eval=want.budget)
+    res = baselines.run_de(fn, NoiseModel(0.0, want.sigma), cfg, RngState(want.seed))
+    assert_matches(res, want)
+
+
+@pytest.mark.parametrize("want", PSO_GOLDEN, ids=case_id)
+def test_run_pso_is_bit_identical(want):
+    fn = make_function(want.function, dimension=want.dimension)
+    cfg = baselines.PsoConfig(rs=want.rs, total_eval=want.budget)
+    res = baselines.run_pso(fn, NoiseModel(0.0, want.sigma), cfg, RngState(want.seed))
     assert_matches(res, want)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpsea import baselines, engine
 from dpsea.benchmarks import FUNCTION_IDS, NoiseModel, evaluate, make_function
 from dpsea.stochastics import (
     Budget,
@@ -109,3 +110,47 @@ class TestResampleMany:
         vals = resample_many(fn, xs, 4, NoiseModel(0.0, 1.0), RngState(9), budget)
         assert abs(vals.mean()) < 0.05
         assert abs(vals.var(ddof=1) - 0.25) < 0.05
+
+    def test_true_fitness_offered_to_the_budgets_tracker(self):
+        fn = make_function("sphere", dimension=2)
+        budget = Budget(pop_size=3, total_it=1, rs=2)
+        best = budget.best
+        xs = np.array([[3.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
+        resample_many(fn, xs, 2, NoiseModel(0.0, 5.0), RngState(0), budget)
+        # the noiseless value is tracked; a tie keeps the earlier row
+        assert best.best_fitness == 2.0
+        assert best.best_genome.tolist() == [1.0, 1.0]
+        resample_many(fn, xs[:0], 2, NoiseModel(0.0, 5.0), RngState(0), budget)
+        assert best.best_fitness == 2.0
+
+
+@pytest.mark.parametrize("algo", ["dpsea", "cga", "de", "pso"])
+def test_one_true_evaluation_per_charged_point(algo, monkeypatch):
+    # every row that reaches the objective is charged rs times, and nothing
+    # else (best-so-far tracking included) evaluates the objective again
+    import dpsea.benchmarks as bm
+
+    rows = []
+    evaluate_many = bm.evaluate_many
+
+    def counting(fn, xs):
+        rows.append(len(xs))
+        return evaluate_many(fn, xs)
+
+    monkeypatch.setattr(bm, "evaluate_many", counting)
+    fn = make_function("griewank", dimension=10)
+    noise = NoiseModel(0.0, 0.5)
+    rs = 3
+    runners = {
+        "dpsea": lambda: engine.run(
+            fn, noise, engine.DpseaParams(rs_merge=rs, max_total_eval=6000), RngState(1)),
+        "cga": lambda: baselines.run_cga(
+            fn, noise, baselines.CgaConfig(rs=rs, total_eval=3000), RngState(1)),
+        "de": lambda: baselines.run_de(
+            fn, noise, baselines.DeConfig(rs=rs, total_eval=3000), RngState(1)),
+        "pso": lambda: baselines.run_pso(
+            fn, noise, baselines.PsoConfig(rs=rs, total_eval=3000), RngState(1)),
+    }
+    res = runners[algo]()
+    assert res.budget.total_eval > 0
+    assert sum(rows) * rs == res.budget.total_eval
