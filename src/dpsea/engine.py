@@ -34,7 +34,6 @@ __all__ = [
     "PseudoPopulation",
     "DpseaParams",
     "self_organize",
-    "assess_eligibility",
     "adaptive_mutation_rate",
     "fit_surrogate",
     "surrogate_generations",
@@ -49,22 +48,27 @@ __all__ = [
 class PseudoPopulation:
     """A self-organized cluster acting as distributed memory for one region.
 
+    A cluster lives one cycle: ``self_organize`` builds it from the
+    dissolved population and ``merge_and_resample`` returns its members.
     ``members`` are copies of the ``rows`` of the dissolved population,
-    ``seed_index`` among them. ``archive`` is an ``(xs, ys)`` pair of
-    genomes ``(m, D)`` and fitness ``(m,)`` that came from actual resampled
-    evaluation at the latest switching step; regression models are fitted
-    on it, never on estimated values. ``fidelity`` is the model's
-    leave-one-out rank correlation on that archive. ``fit_surrogate`` also
-    fixes the cluster's GA settings for the cycle, since its size does not
-    change until the merge: ``ga`` (``pop_size`` the cluster size) and
-    ``rates``, the adaptive mutation rate of each fitness rank.
+    ``seed_index`` among them; the seed is the cluster's best member, and
+    the clusters come best seed first. ``eligible``, set where the cluster
+    is built, grants it pseudo generations this cycle. ``archive`` is an
+    ``(xs, ys)`` pair of genomes ``(m, D)`` and fitness ``(m,)`` that came
+    from actual resampled evaluation at the latest switching step;
+    regression models are fitted on it, never on estimated values.
+    ``fidelity`` is the model's leave-one-out rank correlation on that
+    archive. ``fit_surrogate`` also fixes the cluster's GA settings for the
+    cycle, since its size does not change until the merge: ``ga``
+    (``pop_size`` the cluster size) and ``rates``, the adaptive mutation
+    rate of each fitness rank.
     """
 
     members: Population
     rows: np.ndarray
     seed_index: int
     archive: tuple[np.ndarray, np.ndarray]
-    eligible: bool = False
+    eligible: bool
     model: RegressionModel | None = None
     fidelity: float = 0.0
     ga: GaParams | None = None
@@ -84,7 +88,6 @@ class DpseaParams:
     rs_merge: int = 1
     max_total_eval: int = 90_000
     regression_lambda: float = 1e-6
-    quadratic_min_samples_factor: float = 1.0
 
     def __post_init__(self):
         if self.t_switch < 1:
@@ -101,8 +104,6 @@ class DpseaParams:
             raise ValueError("rs_merge must be >= 1")
         if not 0.0 <= self.regression_lambda < math.inf:
             raise ValueError("regression_lambda must be finite and >= 0")
-        if not 0.0 < self.quadratic_min_samples_factor < math.inf:
-            raise ValueError("quadratic_min_samples_factor must be finite and > 0")
         check_budget(self.max_total_eval, self.ga.pop_size, self.rs_merge)
 
 
@@ -129,6 +130,12 @@ def self_organize(pop, fn, params, samples=None):
     ``(xs, ys)`` pool of true-fitness observations from the current
     switching step, each observation assigned to its nearest seed (ties to
     the earlier cluster).
+
+    Best-first means no member, captured or leftover, precedes its seed in
+    the stable fitness order, and the seeds' (fitness, row) pairs increase
+    with the cluster index. The first ``ceil(kappa * n_clusters)`` clusters
+    are thus the top ones by best fitness, and each of them with at least
+    ``s_min`` members is ``eligible``.
     """
     n = len(pop)
     if n == 0:
@@ -163,6 +170,7 @@ def self_organize(pop, fn, params, samples=None):
         dists = np.linalg.norm(xs[:, None, :] - genomes[seeds][None, :, :], axis=2)
         nearest = np.argmin(dists, axis=1)
 
+    top = math.ceil(params.kappa * len(seeds))
     clusters = []
     for k, seed in enumerate(seeds.tolist()):
         rows = np.flatnonzero(label == k)
@@ -172,23 +180,8 @@ def self_organize(pop, fn, params, samples=None):
             archive = (members.genomes[sampled], members.fitness[sampled])
         else:
             archive = (xs[nearest == k], ys[nearest == k])
-        clusters.append(PseudoPopulation(members, rows, seed, archive))
-    return clusters
-
-
-def assess_eligibility(clusters, params):
-    """Grant evolution right to the fittest, sufficiently large clusters.
-
-    A cluster is eligible iff it has at least ``s_min`` members and its
-    best member ranks within the top ``ceil(kappa * n_clusters)`` clusters
-    by best fitness (ties to lower seed index).
-    """
-    n = len(clusters)
-    best = [c.members.fitness.min() for c in clusters]
-    ranking = sorted(range(n), key=lambda i: (best[i], clusters[i].seed_index))
-    top = set(ranking[: math.ceil(params.kappa * n)])
-    for i, c in enumerate(clusters):
-        c.eligible = i in top and len(c.members) >= params.s_min
+        eligible = k < top and len(rows) >= params.s_min
+        clusters.append(PseudoPopulation(members, rows, seed, archive, eligible))
     return clusters
 
 
@@ -197,7 +190,7 @@ def adaptive_mutation_rate(rank_fraction, cluster_size, params):
 
     ``clamp(p_m * (0.5 + rank_fraction) * sqrt(s_min / cluster_size), 0.05, 1.0)``
     with ``rank_fraction`` in [0, 1] (best member 0, worst 1). An array of
-    rank fractions gives an array of rates; a scalar gives a float.
+    rank fractions gives an array of rates; a scalar gives an ``np.float64``.
     """
     r = np.asarray(rank_fraction, dtype=np.float64)
     if not np.all((r >= 0.0) & (r <= 1.0)):
@@ -205,8 +198,7 @@ def adaptive_mutation_rate(rank_fraction, cluster_size, params):
     if cluster_size < 1:
         raise ValueError("cluster_size must be positive")
     rate = params.ga.p_m * (0.5 + r) * math.sqrt(params.s_min / cluster_size)
-    rate = np.clip(rate, 0.05, 1.0)
-    return float(rate) if rate.ndim == 0 else rate
+    return np.clip(rate, 0.05, 1.0)
 
 
 def fit_surrogate(cluster, fn, params):
@@ -221,9 +213,7 @@ def fit_surrogate(cluster, fn, params):
     """
     xs, ys = cluster.archive
     lam = params.regression_lambda
-    kind = regression.select_kind(
-        len(ys), fn.dimension, params.quadratic_min_samples_factor
-    )
+    kind = regression.select_kind(len(ys), fn.dimension)
     cluster.model, cluster.fidelity = regression.fit_rated(xs, ys, kind, lam)
     size = len(cluster.members)
     fracs = np.arange(size) / (size - 1) if size > 1 else np.zeros(1)
@@ -345,11 +335,15 @@ def run(fn, noise, params, rng):
     dissolution into clusters, zero-cost regression-guided generations in
     the eligible clusters (``surrogate_generations``: up to ``t_switch``,
     as many as the model's leave-one-out fidelity earns, with the same
-    absolute step), then merge with true resampling. The returned best-ever
-    solution is scored by the noiseless fitness, which ``resample_many``
-    computes anyway for every charged point and offers to ``Budget.best``.
-    The run keeps OpenBLAS on one thread (``_blas.one_thread``), so
-    parallel runs do not contend for cores.
+    absolute step), then merge with true resampling. Clusters live one
+    cycle; ``self_organize`` builds them best-first and marks the eligible
+    ones. Their archives are split from the switching step's observations:
+    the population before the main generation (the initial design's best,
+    or the last merge) and that generation's offspring. The returned
+    best-ever solution is scored by the noiseless fitness, which
+    ``resample_many`` computes anyway for every charged point and offers to
+    ``Budget.best``. The run keeps OpenBLAS on one thread
+    (``_blas.one_thread``), so parallel runs do not contend for cores.
     """
     rs = params.rs_merge
     budget = Budget(pop_size=params.ga.pop_size, total_it=0, rs=rs)
@@ -358,17 +352,13 @@ def run(fn, noise, params, rng):
     keep = np.argsort(design_y, kind="stable")[: params.ga.pop_size]
     pop = Population.new(design_x[keep], design_y[keep], sampled=True)
 
-    # pool of (genome, resampled fitness) observations gathered since the
-    # last dissolve; becomes the clusters' regression archives
-    pool_x = [pop.genomes]
-    pool_y = [pop.fitness]
-
     trace = []
     n_elites = params.ga.n_elites
     main_cost = (params.ga.pop_size - n_elites) * rs
     # a merge over the cap gives no population and ends the run
     while pop is not None and budget.total_eval + main_cost <= params.max_total_eval:
         # main-population generation on resampled true fitness
+        prev = pop
         pop = pop.evolve(
             params.ga,
             rng,
@@ -377,13 +367,13 @@ def run(fn, noise, params, rng):
             sampled=True,
         )
         budget.skip(n_elites * rs)
-        pool_x.append(pop.genomes[n_elites:])
-        pool_y.append(pop.fitness[n_elites:])
 
-        samples = (np.concatenate(pool_x), np.concatenate(pool_y))
+        # the switching step's observations become the clusters' archives
+        samples = (
+            np.concatenate([prev.genomes, pop.genomes[n_elites:]]),
+            np.concatenate([prev.fitness, pop.fitness[n_elites:]]),
+        )
         clusters = self_organize(pop, fn, params, samples=samples)
-        pool_x, pool_y = [], []
-        assess_eligibility(clusters, params)
         generations = [
             surrogate_generations(fit_surrogate(c, fn, params), params)
             if c.eligible else 0
@@ -395,9 +385,6 @@ def run(fn, noise, params, rng):
                     evolve_pseudo(c, fn, params, rng)
 
         pop = merge_and_resample(clusters, fn, noise, rng, budget, params)
-        if pop is not None:
-            pool_x.append(pop.genomes)
-            pool_y.append(pop.fitness)
         trace.append(
             CycleRecord(
                 len(trace),

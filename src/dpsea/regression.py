@@ -56,15 +56,15 @@ class RegressionModel:
         return self.center.shape[0]
 
 
-def select_kind(sample_count, d, quadratic_min_samples_factor):
+def select_kind(sample_count, d):
     """Richest basis the sample count supports.
 
-    Diagonal quadratic needs ``factor * (2D + 2)`` samples, linear needs
-    ``D + 2``, anything less falls back to constant.
+    Diagonal quadratic needs ``2D + 2`` samples, linear needs ``D + 2``,
+    anything less falls back to constant.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    if sample_count >= math.ceil(quadratic_min_samples_factor * (2 * d + 2)):
+    if sample_count >= 2 * d + 2:
         return ModelKind.DIAG_QUADRATIC
     if sample_count >= d + 2:
         return ModelKind.LINEAR

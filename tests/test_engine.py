@@ -9,7 +9,6 @@ from dpsea.benchmarks import NoiseModel, evaluate_many, make_function
 from dpsea.engine import (
     DpseaParams,
     adaptive_mutation_rate,
-    assess_eligibility,
     evolve_pseudo,
     fit_surrogate,
     initial_design,
@@ -170,47 +169,82 @@ class TestSelfOrganize:
 
 
 class TestEligibility:
-    def _clusters(self, fn, params, sizes, bests):
-        rng = np.random.default_rng(0)
-        pops = []
-        for size, best in zip(sizes, bests):
-            genomes = rng.uniform(-1, 1, (size, fn.dimension))
-            fits = best + np.arange(size, dtype=float)
-            pops.append(make_pop(genomes, fits))
-        from dpsea.engine import PseudoPopulation
-
-        return [
-            PseudoPopulation(p, np.arange(len(p)), i, (p.genomes, p.fitness))
-            for i, p in enumerate(pops)
-        ]
-
     def test_top_half_and_min_size(self):
+        # four far-apart blobs; the best one holds only 3 < s_min members
         fn = make_function("sphere", dimension=2)
         params = small_params(kappa=0.5, s_min=5)
-        # 4 clusters -> top ceil(0.5*4) = 2 by best fitness
-        clusters = self._clusters(fn, params, [6, 6, 6, 3], [0.0, 1.0, 2.0, -5.0])
-        assess_eligibility(clusters, params)
-        flags = [c.eligible for c in clusters]
-        # cluster 3 has the best fitness but only 3 < s_min members
-        assert flags == [True, False, False, False]
+        rng = np.random.default_rng(0)
+        centers = [(-80.0, -80.0), (80.0, -80.0), (-80.0, 80.0), (80.0, 80.0)]
+        sizes, bests = [6, 6, 6, 3], [0.0, 1.0, 2.0, -5.0]
+        genomes = np.vstack([
+            np.array(c) + rng.uniform(-1, 1, (size, 2))
+            for c, size in zip(centers, sizes)
+        ])
+        fits = np.concatenate([b + np.arange(size, dtype=float)
+                               for b, size in zip(bests, sizes)])
+        clusters = self_organize(make_pop(genomes, fits), fn, params)
+        # best-first: the 3-member blob, then the others by best fitness;
+        # the top ceil(0.5 * 4) = 2 hold the only eligible one
+        assert [len(c.members) for c in clusters] == [3, 6, 6, 6]
+        assert [c.members.fitness.min() for c in clusters] == [-5.0, 0.0, 1.0, 2.0]
+        assert [c.eligible for c in clusters] == [False, True, False, False]
 
     def test_kappa_one_makes_all_large_clusters_eligible(self):
         fn = make_function("sphere", dimension=2)
         params = small_params(kappa=1.0, s_min=2)
-        clusters = self._clusters(fn, params, [3, 3, 3], [0.0, 1.0, 2.0])
-        assess_eligibility(clusters, params)
+        rng = np.random.default_rng(0)
+        genomes = np.vstack([np.array(c) + rng.uniform(-1, 1, (3, 2))
+                             for c in ((-80.0, 0.0), (0.0, 0.0), (80.0, 0.0))])
+        clusters = self_organize(make_pop(genomes), fn, params)
+        assert [len(c.members) for c in clusters] == [3, 3, 3]
         assert all(c.eligible for c in clusters)
 
-    def test_eligibility_follows_best_fitness(self):
-        fn = make_function("sphere", dimension=2)
-        params = small_params(kappa=0.5, s_min=2)
-        clusters = self._clusters(fn, params, [3, 3], [0.0, 1.0])
-        assess_eligibility(clusters, params)
-        assert [c.eligible for c in clusters] == [True, False]
-        # swap fitness so the non-eligible cluster wins the next cycle
-        clusters[1].members.fitness -= 10.0
-        assess_eligibility(clusters, params)
-        assert [c.eligible for c in clusters] == [False, True]
+    def test_best_first_and_prefix_rule_randomized(self):
+        # tied fitness, capped max_clusters (so leftovers join a seed they
+        # were not captured by), with and without a sample pool
+        rng = np.random.default_rng(11)
+        ties = leftovers = 0
+        for trial in range(1500):
+            d = int(rng.integers(1, 4))
+            fn = make_function("sphere", dimension=d)
+            n = int(rng.integers(1, 31))
+            params = small_params(
+                ga=GaParams(pop_size=30, n_elites=1),
+                max_clusters=int(rng.integers(1, 8)),
+                radius_fraction=float(rng.uniform(0.01, 0.4)),
+                kappa=float(rng.uniform(0.05, 1.0)),
+                s_min=int(rng.integers(1, 6)),
+            )
+            genomes = rng.uniform(-100, 100, (n, d))
+            fits = rng.integers(0, 6, n).astype(float)  # many ties
+            samples = None
+            if trial % 2:
+                samples = (np.vstack([genomes, rng.uniform(-100, 100, (5, d))]),
+                           rng.normal(size=n + 5))
+            clusters = self_organize(make_pop(genomes, fits), fn, params,
+                                     samples=samples)
+            ties += len(set(fits.tolist())) < n
+            radius = params.radius_fraction * math.sqrt(d) * 200.0
+            keys = []
+            for c in clusters:
+                seed_key = (fits[c.seed_index], c.seed_index)
+                assert c.seed_index in c.rows
+                assert all((fits[r], r) >= seed_key for r in c.rows.tolist())
+                far = np.linalg.norm(genomes[c.rows] - genomes[c.seed_index], axis=1)
+                leftovers += bool(np.any(far > radius))
+                keys.append(seed_key)
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+            top = math.ceil(params.kappa * len(clusters))
+            want = [k < top and len(c.members) >= params.s_min
+                    for k, c in enumerate(clusters)]
+            assert [c.eligible for c in clusters] == want
+            # the same clusters ranked by best fitness, ties to the lower
+            # seed index, give the same top set
+            ranking = sorted(range(len(clusters)), key=lambda k: (
+                clusters[k].members.fitness.min(), clusters[k].seed_index))
+            assert sorted(ranking[:top]) == list(range(top))
+        assert ties > 1000 and leftovers > 100
 
 
 class TestAdaptiveMutationRate:
@@ -390,7 +424,6 @@ class TestPseudoGenerationOracle:
         genomes = rng.uniform(-5.12, 5.12, (100, 5))
         fits = evaluate_many(fn, genomes) + rng.normal(0.0, 0.5, 100)
         clusters = self_organize(make_pop(genomes, fits), fn, params)
-        assess_eligibility(clusters, params)
         ours = [fit_surrogate(c, fn, params) for c in clusters if c.eligible]
         assert len(ours) == 4
         assert len({len(c.members) for c in ours}) > 1
@@ -489,8 +522,6 @@ class TestMergeAndResample:
                               s_min=2, radius_fraction=0.01)
         pop = make_pop([[i, -i] for i in range(6)])
         clusters = self_organize(pop, fn, params)
-        for cycle in range(5):
-            assess_eligibility(clusters, params)
         assert sum(c.eligible for c in clusters) < len(clusters)
         budget = Budget(pop_size=6, total_it=0, rs=1)
         merged = merge_and_resample(

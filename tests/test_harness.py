@@ -99,8 +99,7 @@ class TestBuildParams:
         ga = {"pop_size", "p_c", "p_m", "n_elites", "sigma_m"}
         expected = {
             "dpsea": ga | {"t_switch", "max_clusters", "radius_fraction", "kappa",
-                           "s_min", "regression_lambda",
-                           "quadratic_min_samples_factor"},
+                           "s_min", "regression_lambda"},
             "cga": ga,
             "de": {"pop_size", "cf", "f_scale"},
             "pso": {"pop_size", "w_start", "w_end", "phi_min", "phi_max"},
@@ -553,8 +552,8 @@ class TestCli:
     @pytest.mark.parametrize("block", [
         {"regression_lambda": -1},
         {"regression_lambda": math.inf},
-        {"quadratic_min_samples_factor": 0},
-        {"quadratic_min_samples_factor": math.nan},
+        {"regression_lambda": math.nan},
+        {"regression_lambda": -math.inf},
     ])
     def test_bad_regression_setting_exits_1_before_any_run(
         self, block, tmp_path, capsys, monkeypatch

@@ -53,20 +53,15 @@ def oracle_fit(xs, ys, kind, lam):
 class TestSelectKind:
     def test_thresholds(self):
         d = 5
-        assert select_kind(2 * d + 2, d, 1.0) is ModelKind.DIAG_QUADRATIC
-        assert select_kind(2 * d + 1, d, 1.0) is ModelKind.LINEAR
-        assert select_kind(d + 2, d, 1.0) is ModelKind.LINEAR
-        assert select_kind(d + 1, d, 1.0) is ModelKind.CONSTANT
-        assert select_kind(1, d, 1.0) is ModelKind.CONSTANT
-
-    def test_factor_raises_quadratic_bar(self):
-        d = 5
-        assert select_kind(2 * d + 2, d, 1.5) is ModelKind.LINEAR
-        assert select_kind(18, d, 1.5) is ModelKind.DIAG_QUADRATIC
+        assert select_kind(2 * d + 2, d) is ModelKind.DIAG_QUADRATIC
+        assert select_kind(2 * d + 1, d) is ModelKind.LINEAR
+        assert select_kind(d + 2, d) is ModelKind.LINEAR
+        assert select_kind(d + 1, d) is ModelKind.CONSTANT
+        assert select_kind(1, d) is ModelKind.CONSTANT
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
-            select_kind(0, 3, 1.0)
+            select_kind(0, 3)
 
 
 class TestExactRecovery:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -33,3 +34,45 @@ class TestBenchPairs:
         err = capsys.readouterr().err
         assert "sphere-5d pair 0 parent: perfbench exited 1" in err
         assert "workload exploded" in err
+
+
+class TestDigests:
+    ROOT = TOOLS.parent
+
+    def test_identical_roots_pass_and_a_drift_is_named(self, tmp_path, capsys,
+                                                       monkeypatch):
+        digests = load_tool("digests")
+        picked = [c for c in digests.cases(full=False)
+                  if c["name"] in ("dpsea-sphere-5d-sigma0.0-rs1-default-seed8",
+                                   "cga-griewank-5d-sigma0.5-rs1-default-seed1")]
+        assert len(picked) == 2
+        monkeypatch.setattr(digests, "cases", lambda full: picked)
+
+        assert digests.main(["--parent", str(self.ROOT), "--change",
+                             str(self.ROOT), "--quick"]) == 0
+        assert capsys.readouterr().out == "2 of 2 cases identical\n"
+
+        # a smaller initial design moves every DPSEA run and no baseline
+        change = tmp_path / "change"
+        shutil.copytree(self.ROOT / "src" / "dpsea", change / "src" / "dpsea",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        engine = change / "src" / "dpsea" / "engine.py"
+        text = engine.read_text()
+        assert "DESIGN_FACTOR = 40\n" in text
+        engine.write_text(text.replace("DESIGN_FACTOR = 40\n", "DESIGN_FACTOR = 39\n"))
+        assert digests.main(["--parent", str(self.ROOT), "--change", str(change),
+                             "--quick"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "differs: dpsea-sphere-5d-sigma0.0-rs1-default-seed8",
+            "1 of 2 cases identical",
+        ]
+
+    def test_quick_dpsea_cases_have_two_eligible_clusters(self):
+        # the digests cover eligibility only where more than one cluster
+        # competes for it
+        digests = load_tool("digests")
+        dpsea_cases = [c for c in digests.cases(full=False) if c["algo"] == "dpsea"]
+        assert len(dpsea_cases) == 42
+        for c in dpsea_cases:
+            res = digests.run_case(c)
+            assert any(r.n_eligible >= 2 for r in res.trace), c["name"]

@@ -1,0 +1,167 @@
+"""Bit-identity check of two checkouts: fixed-seed run digests, case by case.
+
+    python tools/digests.py --parent ../parent --change . [--quick]
+
+Runs every case in a fresh Python process per checkout, with that
+checkout's ``src`` first on ``PYTHONPATH`` (the two sides run side by side).
+A case's digest is the SHA-256 of its ``best_fitness``, ``best_genome``,
+``total_eval``, ``total_unchanged`` and full trace, floats taken exactly.
+Prints one line per case that differs and a count, and exits 1 if any case
+differs.
+
+``--quick`` (a few seconds per side) runs 42 DPSEA cases on 5-D versions of
+the four functions at sigma 0, 0.5 and 1: three multi-cluster settings on
+every function and the defaults on sphere and rastrigin1, each with cycles
+of two or more eligible clusters, plus small cGA, DE and PSO runs. The full
+mode adds the 20 noiseless sphere 90k runs of acceptance criterion 1 and
+the 30 sigma-1 sphere 90k runs of criterion 2, where estimates near 1e-20
+decide orderings; it took 75 s on a 2-core box.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+# (name, DpseaParams fields) of the quick set; the multi-cluster settings
+# keep several clusters, and eligible ones among them, alive for many cycles
+DPSEA_SETTINGS = (
+    ("r0.01m4", {"radius_fraction": 0.01, "max_clusters": 4}),
+    ("r0.02m6k1", {"radius_fraction": 0.02, "max_clusters": 6, "kappa": 1.0,
+                   "s_min": 2}),
+    ("r0.05k0.75", {"radius_fraction": 0.05, "kappa": 0.75, "s_min": 3}),
+)
+FUNCTIONS = ("sphere", "griewank", "rastrigin1", "rosenbrock")
+SIGMAS = (0.0, 0.5, 1.0)
+
+
+def case(algo, function, sigma, budget, seed, *, dimension=5, rs=1,
+         params=None, tag="default"):
+    name = f"{algo}-{function}-{dimension}d-sigma{sigma}-rs{rs}-{tag}-seed{seed}"
+    return {"name": name, "algo": algo, "function": function,
+            "dimension": dimension, "sigma": sigma, "rs": rs, "budget": budget,
+            "seed": seed, "params": params or {}}
+
+
+def cases(full):
+    """Every case of the chosen mode, in a fixed order."""
+    out = []
+    for i, sigma in enumerate(SIGMAS):
+        for j, function in enumerate(FUNCTIONS):
+            for k, (tag, params) in enumerate(DPSEA_SETTINGS):
+                out.append(case("dpsea", function, sigma, 6000,
+                                1 + 100 * i + 10 * j + k, params=params, tag=tag))
+        for function in ("sphere", "rastrigin1"):
+            out.append(case("dpsea", function, sigma, 6000, 8 + i))
+    out += [
+        case("cga", "griewank", 0.5, 5000, 1),
+        case("cga", "sphere", 1.0, 5000, 2, rs=3),
+        case("de", "rastrigin1", 0.5, 5000, 3),
+        case("pso", "rosenbrock", 0.5, 5000, 4),
+    ]
+    if full:
+        out += [case("dpsea", "sphere", 0.0, 90_000, s, tag="criterion1")
+                for s in range(20)]
+        out += [case("dpsea", "sphere", 1.0, 90_000, s, tag="criterion2")
+                for s in range(30)]
+    return out
+
+
+def run_case(c):
+    """The ``RunResult`` of one case, from whichever ``dpsea`` is imported."""
+    from dpsea import baselines, engine
+    from dpsea.benchmarks import NoiseModel, make_function
+    from dpsea.ga import GaParams
+    from dpsea.stochastics import RngState
+
+    fn = make_function(c["function"], dimension=c["dimension"])
+    noise = NoiseModel(0.0, c["sigma"])
+    rng = RngState(c["seed"])
+    if c["algo"] == "dpsea":
+        params = engine.DpseaParams(max_total_eval=c["budget"], rs_merge=c["rs"],
+                                    **c["params"])
+        return engine.run(fn, noise, params, rng)
+    if c["algo"] == "cga":
+        cfg = baselines.CgaConfig(ga=GaParams(), rs=c["rs"], total_eval=c["budget"])
+        return baselines.run_cga(fn, noise, cfg, rng)
+    config = {"de": baselines.DeConfig, "pso": baselines.PsoConfig}[c["algo"]]
+    runner = {"de": baselines.run_de, "pso": baselines.run_pso}[c["algo"]]
+    return runner(fn, noise, config(rs=c["rs"], total_eval=c["budget"]), rng)
+
+
+def digest(res):
+    """SHA-256 of a result's best, budget counters and trace, floats exact."""
+    trace = [(int(r.cycle), int(r.total_eval), float(r.best_fitness).hex(),
+              int(r.n_clusters), int(r.n_eligible)) for r in res.trace]
+    best_genome = [float(x).hex() for x in res.best_genome]
+    record = (float(res.best_fitness).hex(), best_genome,
+              int(res.budget.total_eval), int(res.budget.total_unchanged), trace)
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+def worker():
+    """Digest the cases read as JSON from stdin; print ``{name: digest}``."""
+    import dpsea
+
+    out = {"dpsea": dpsea.__file__}
+    out.update((c["name"], digest(run_case(c))) for c in json.load(sys.stdin))
+    print(json.dumps(out))
+
+
+def start(root):
+    """A fresh worker process that imports ``dpsea`` from ``root``'s src."""
+    env = dict(os.environ)
+    src = str(Path(root).resolve() / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, str(Path(__file__).resolve()), "--worker"],
+        cwd=root, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+    )
+    return proc, src
+
+
+def collect(proc, src, selected, side):
+    out, err = proc.communicate(json.dumps(selected))
+    if proc.returncode != 0:
+        raise RuntimeError(f"{side} worker exited {proc.returncode}:\n{err}")
+    digests = json.loads(out)
+    imported = Path(digests.pop("dpsea")).resolve()
+    if not imported.is_relative_to(src):
+        raise RuntimeError(f"{side} worker imported {imported}, not {src}")
+    return digests
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--quick", action="store_true")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker()
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("--parent and --change are required")
+
+    selected = cases(full=not args.quick)
+    sides = {side: start(root)
+             for side, root in (("parent", args.parent), ("change", args.change))}
+    got = {side: collect(proc, src, selected, side)
+           for side, (proc, src) in sides.items()}
+    differ = [c["name"] for c in selected
+              if got["parent"][c["name"]] != got["change"][c["name"]]]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(selected) - len(differ)} of {len(selected)} cases identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
