@@ -121,6 +121,8 @@ def evolve_generation(
     ``mutation_rates[k]`` belongs to the row ranked ``k`` by the stable sort
     of ``fitness`` (0 the best), and each child of a pair takes the rate of
     the parent in its slot. Without it every offspring mutates at ``p_m``.
+    Draws, in order: tournaments, crossover uniforms, a mask uniform per
+    offspring gene, then one N(0, sigma_m) step per mutated gene, row-major.
 
     Returns ``(genomes, fitness, elites)``: the new generation, elites first,
     and the input rows the elites were copied from.
@@ -163,8 +165,7 @@ def evolve_generation(
 
     mask = rng.uniform(size=(n_off, d)) < rates
     if params.sigma_m > 0:
-        noise = rng.normal(0.0, math.sqrt(params.sigma_m), (n_off, d))
-        children += np.where(mask, noise, 0.0)
+        children[mask] += rng.normal(0.0, math.sqrt(params.sigma_m), mask.sum())
     np.clip(children, bounds[0], bounds[1], out=children)
 
     scores = np.asarray(score(children), dtype=np.float64)

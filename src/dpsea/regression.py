@@ -131,10 +131,10 @@ def fit_rated(xs, ys, kind, lam):
     """The ridge fit of ``fit`` and its leave-one-out rank correlation.
 
     Returns ``(model, fidelity)`` from one Cholesky factor ``L`` of
-    ``A'A + lam P`` (``P`` the identity with the intercept unpenalized).
-    With ``w = L^-1 A'`` the hat matrix is ``H = w'w``, the coefficients
-    are ``L'^-1 w y``, and each sample's leave-one-out prediction is
-    ``y_i - e_i / (1 - H_ii)``: the same ridge fit made on the other
+    ``A'A + lam P`` (``P`` the identity with the intercept unpenalized) and
+    its triangular inverse. With ``w = L^-1 A'`` the hat matrix is
+    ``H = w'w``, the coefficients are ``(L^-1)' w y``, and each sample's
+    leave-one-out prediction ``y_i - e_i / (1 - H_ii)`` is the fit on the other
     samples. ``fidelity`` is the Spearman correlation between those
     predictions and ``ys``. It measures how well the basis ranks points it
     was not fitted on, which in-sample residuals hide when the sample
@@ -150,12 +150,12 @@ def fit_rated(xs, ys, kind, lam):
     pen = np.full(a.shape[1], float(lam))
     pen[0] = 0.0
     try:
-        chol = np.linalg.cholesky(a.T @ a + np.diag(pen))
-        w = np.linalg.solve(chol, a.T)
+        inv = np.linalg.inv(np.linalg.cholesky(a.T @ a + np.diag(pen)))
     except np.linalg.LinAlgError:
         return fit(xs, ys, kind, lam), 0.0
+    w = inv @ a.T
     wy = w @ ys
-    model = _model(np.linalg.solve(chol.T, wy), kind, lam, center, scale)
+    model = _model(inv.T @ wy, kind, lam, center, scale)
     n = ys.shape[0]
     if n < 3 or np.all(ys == ys[0]):
         return model, 0.0

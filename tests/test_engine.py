@@ -8,6 +8,7 @@ import pytest
 from dpsea.benchmarks import NoiseModel, evaluate_many, make_function
 from dpsea.engine import (
     DpseaParams,
+    _coordinate_sweep,
     adaptive_mutation_rate,
     evolve_pseudo,
     fit_surrogate,
@@ -378,8 +379,9 @@ def per_row_generation(genomes, fitness, params, rng, bounds, score, rates):
     child_rates = rates[parents.reshape(-1)[:n_off]]
     d = genomes.shape[1]
     mask = rng.uniform(size=(n_off, d)) < child_rates[:, None]
-    noise = rng.normal(0.0, math.sqrt(params.sigma_m), (n_off, d))
-    children = np.clip(children + np.where(mask, noise, 0.0), bounds[0], bounds[1])
+    steps = rng.normal(0.0, math.sqrt(params.sigma_m), mask.sum())
+    children[mask] += steps
+    children = np.clip(children, bounds[0], bounds[1])
     return (
         np.concatenate([genomes[elites], children]),
         np.concatenate([fitness[elites], score(children)]),
@@ -574,6 +576,61 @@ class TestMergeAndResample:
         assert (budget.total_eval, budget.total_unchanged) == (100, 4)
 
 
+class TestCoordinateSweep:
+    def sweep(self, fn, x, ga=GaParams(), noise=NoiseModel(0.0, 0.0), rs=1):
+        budget = Budget(pop_size=ga.pop_size, total_it=0, rs=rs)
+        params = DpseaParams(ga=ga, rs_merge=rs)
+        fx = evaluate_many(fn, np.array([x]))[0]
+        xs, ys = _coordinate_sweep(fn, np.array(x), fx, noise, params, RngState(1), budget)
+        return xs, ys, budget
+
+    def test_sphere_in_one_sweep_from_the_bounds(self):
+        # each sphere parabola is exact: one sweep lands on the optimum,
+        # probing inward at the bounds, 3 evaluations per coordinate
+        fn = make_function("sphere")
+        xs, ys, budget = self.sweep(fn, [5.12, -5.12, 3.0, -0.7, 0.05])
+        assert ys.min() < 1e-20
+        assert np.allclose(xs[np.argmin(ys)], 0.0, atol=1e-10)
+        assert len(ys) == 15 and budget.total_eval == 15
+        assert np.array_equal(ys, evaluate_many(fn, xs))
+        assert xs.min() >= fn.lower_bound and xs.max() <= fn.upper_bound
+
+    def test_rosenbrock_tail_follows_its_neighbour(self):
+        # x_D at the bound, where the design's diagonal model puts it on
+        # rosenbrock: 100 (x_D - x_{D-1}^2)^2 is a parabola in x_D, so the
+        # sweep moves x_D to x_{D-1}^2
+        fn = make_function("rosenbrock", dimension=5)
+        start = [0.1, -0.2, 0.3, 0.4, 50.0]
+        xs, ys, _ = self.sweep(fn, start)
+        best = xs[np.argmin(ys)]
+        assert evaluate_many(fn, np.array([start]))[0] > 2e5
+        assert ys.min() < 30.0  # the first four coordinates' terms, about 24 at the start
+        assert best[-1] == pytest.approx(best[-2] ** 2, abs=1e-9)
+
+    def test_no_step_no_probe(self):
+        fn = make_function("sphere")
+        xs, ys, budget = self.sweep(fn, [1.0] * 5, ga=GaParams(sigma_m=0.0))
+        assert xs.shape == (0, 5) and ys.shape == (0,)
+        assert budget.total_eval == 0
+
+    def test_probes_stay_in_a_domain_narrower_than_the_step(self):
+        # sigma_m = 100 is a step of 10 on sphere's +-5.12: the probes use a
+        # quarter of the domain instead and never leave it
+        fn = make_function("sphere")
+        xs, ys, _ = self.sweep(fn, [5.12, 0.0, -3.0, 1.0, -5.12], ga=GaParams(sigma_m=100.0))
+        assert len(ys) >= 10
+        assert xs.min() >= fn.lower_bound and xs.max() <= fn.upper_bound
+
+    def test_design_returns_every_charged_point(self):
+        fn = make_function("rosenbrock", dimension=5)
+        for rs in (1, 2):
+            params = DpseaParams(rs_merge=rs, max_total_eval=5000)
+            budget = Budget(pop_size=100, total_it=0, rs=rs)
+            xs, ys = initial_design(fn, NoiseModel(0.0, 0.3), params, RngState(3), budget)
+            assert budget.total_eval == rs * len(ys)
+            assert 100 + 480 + 1 + 10 <= len(ys) <= 100 + 480 + 1 + 15
+
+
 class TestRun:
     def test_deterministic_given_seed(self):
         fn = make_function("sphere")
@@ -596,9 +653,10 @@ class TestRun:
 
     def test_initial_design_charged_only_when_it_fits(self):
         fn = make_function("sphere")
-        # 100 + 40 * 12 + 1 = 581 evaluations fit in 600, not in 150;
+        # 100 + 40 * 12 + 1 and a 3-evaluation step per coordinate (every
+        # sphere parabola is convex): 596 evaluations fit in 600, not in 150;
         # neither cap leaves room for a 90-evaluation generation after them
-        for cap, init in ((600, 581), (150, 100)):
+        for cap, init in ((600, 596), (150, 100)):
             params = DpseaParams(max_total_eval=cap)
             res = run(fn, NoiseModel(0.0, 0.0), params, RngState(1))
             assert res.trace == []

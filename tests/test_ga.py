@@ -51,14 +51,25 @@ def arithmetic_crossover(a, b, p_c, rng):
 
 
 def gaussian_mutate(ind, p_m, sigma_m, bounds, rng):
-    """Per-gene additive N(0, sigma_m) noise with probability ``p_m``, clamped."""
+    """Per-gene additive N(0, sigma_m) noise with probability ``p_m``, clamped.
+
+    The mask's uniforms come first, then one normal per mutated gene.
+    """
     if sigma_m < 0:
         raise ValueError("sigma_m must be nonnegative")
     d = ind.genome.shape[0]
     mask = rng.uniform(size=d) < p_m
-    noise = rng.normal(0.0, math.sqrt(sigma_m), d) if sigma_m > 0 else np.zeros(d)
-    genome = np.clip(ind.genome + np.where(mask, noise, 0.0), bounds[0], bounds[1])
-    return Individual(genome)
+    genome = ind.genome.copy()
+    if sigma_m > 0:
+        steps = rng.normal(0.0, math.sqrt(sigma_m), int(mask.sum()))
+        for gene, step in zip(np.flatnonzero(mask), steps):
+            genome[gene] += step
+    return Individual(np.clip(genome, bounds[0], bounds[1]))
+
+
+def split_by_row(normals, mask):
+    """A generation's one vector of mutation steps, split into each row's."""
+    return np.split(normals, np.cumsum(mask.sum(axis=1))[:-1])
 
 
 class FakeRng:
@@ -89,24 +100,27 @@ class FakeRng:
 
 
 class RecordingRng:
-    """An ``RngState`` that keeps every array it hands out."""
+    """An ``RngState`` that keeps every array it hands out, and the name of
+    the method that drew it."""
 
     def __init__(self, seed):
         self._rng = RngState(seed)
         self.draws = []
+        self.calls = []
 
-    def _keep(self, out):
+    def _keep(self, call, out):
+        self.calls.append(call)
         self.draws.append(out)
         return out
 
     def integers(self, low, high, size=None):
-        return self._keep(self._rng.integers(low, high, size))
+        return self._keep("integers", self._rng.integers(low, high, size))
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        return self._keep(self._rng.uniform(low, high, size))
+        return self._keep("uniform", self._rng.uniform(low, high, size))
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._keep(self._rng.normal(loc, scale, size))
+        return self._keep("normal", self._rng.normal(loc, scale, size))
 
 
 def make_pop(fits):
@@ -299,7 +313,8 @@ class TestEvolveGeneration:
         genomes, fitness, _ = evolve_generation(
             self.genomes, self.fitness, params, rng, (-1.0, 1.0), self.sphere
         )
-        draws, u_cross, alphas, mask_u, noise = rng.draws
+        draws, u_cross, alphas, mask_u, normals = rng.draws
+        steps = split_by_row(normals, mask_u < params.p_m)
         pop = [Individual(g, f) for g, f in zip(self.genomes, self.fitness)]
         children = []
         for k in range(len(u_cross)):
@@ -313,7 +328,7 @@ class TestEvolveGeneration:
         for j, child in enumerate(children):
             got = gaussian_mutate(
                 child, params.p_m, params.sigma_m, (-1.0, 1.0),
-                FakeRng(uniforms=mask_u[j], normals=[noise[j]]),
+                FakeRng(uniforms=mask_u[j], normals=[steps[j]]),
             )
             assert np.array_equal(genomes[4 + j], got.genome)
             assert fitness[4 + j] == pytest.approx(float(np.sum(got.genome**2)))
@@ -334,7 +349,7 @@ class TestEvolveGeneration:
             self.genomes, fitness, params, rng, (-1.0, 1.0), self.sphere,
             mutation_rates=table,
         )
-        draws, u_cross, alphas, mask_u, noise = rng.draws
+        draws, u_cross, alphas, mask_u, normals = rng.draws
         pop = [Individual(g, f) for g, f in zip(self.genomes, fitness)]
         children = []
         for k in range(len(u_cross)):
@@ -347,12 +362,38 @@ class TestEvolveGeneration:
             children += zip(arithmetic_crossover(
                 a, b, params.p_c, FakeRng(uniforms=[u_cross[k], alphas[k]])
             ), rates)
+        child_rates = np.array([rate for _, rate in children])
+        steps = split_by_row(normals, mask_u < child_rates[:, None])
         for j, (child, rate) in enumerate(children):
             got = gaussian_mutate(
                 child, rate, params.sigma_m, (-1.0, 1.0),
-                FakeRng(uniforms=mask_u[j], normals=[noise[j]]),
+                FakeRng(uniforms=mask_u[j], normals=[steps[j]]),
             )
             assert np.array_equal(genomes[4 + j], got.genome)
+
+    @pytest.mark.parametrize("p_m, sigma_m, table_rate", [
+        (0.4, 0.25, None),
+        (0.4, 0.25, 0.7),
+        (0.0, 0.25, None),
+        (0.4, 0.25, 0.0),
+        (0.4, 0.0, None),
+    ])
+    def test_one_normal_per_mutated_gene(self, p_m, sigma_m, table_rate):
+        # after the mask's uniforms, one normal call with a step for each
+        # mutated gene (size 0 when no gene mutates), and none at sigma_m = 0
+        params = GaParams(pop_size=20, n_elites=4, p_m=p_m, sigma_m=sigma_m)
+        table = None if table_rate is None else np.full(20, table_rate)
+        rng = RecordingRng(9)
+        evolve_generation(self.genomes, self.fitness, params, rng, (-1.0, 1.0),
+                          self.sphere, mutation_rates=table)
+        mask_draws = ["integers", "uniform", "uniform", "uniform"]
+        if sigma_m == 0:
+            assert rng.calls == mask_draws
+            return
+        assert rng.calls == mask_draws + ["normal"]
+        mask_u, normals = rng.draws[3:]
+        rate = p_m if table_rate is None else table_rate
+        assert normals.shape == (int(np.sum(mask_u < rate)),)
 
     def test_offspring_within_bounds(self):
         genomes, _, _ = evolve_generation(

@@ -68,225 +68,225 @@ DPSEA_GOLDEN = [
             -0.00034635261422281917,
             0.00017805201546174337,
         ],
-        total_eval=3937,
-        total_unchanged=344,
+        total_eval=3922,
+        total_unchanged=369,
         trace=[
-            (0, 766, 6.597771672652526e-07, 10, 4),
-            (1, 956, 6.597771672652526e-07, 8, 1),
-            (2, 1145, 6.597771672652526e-07, 2, 1),
-            (3, 1325, 6.597771672652526e-07, 1, 1),
-            (4, 1505, 6.597771672652526e-07, 1, 1),
-            (5, 1685, 6.597771672652526e-07, 1, 1),
-            (6, 1865, 6.597771672652526e-07, 1, 1),
-            (7, 2045, 6.597771672652526e-07, 1, 1),
-            (8, 2225, 6.597771672652526e-07, 1, 1),
-            (9, 2405, 6.597771672652526e-07, 1, 1),
-            (10, 2585, 6.597771672652526e-07, 1, 1),
-            (11, 2765, 6.597771672652526e-07, 1, 1),
-            (12, 2945, 6.597771672652526e-07, 1, 1),
-            (13, 3125, 6.597771672652526e-07, 1, 1),
-            (14, 3305, 6.597771672652526e-07, 1, 1),
-            (15, 3487, 6.597771672652526e-07, 1, 1),
-            (16, 3667, 6.597771672652526e-07, 1, 1),
-            (17, 3847, 6.597771672652526e-07, 1, 1),
-            (18, 3937, 6.597771672652526e-07, 1, 1),
+            (0, 772, 6.597771672652526e-07, 10, 4),
+            (1, 952, 6.597771672652526e-07, 6, 1),
+            (2, 1132, 6.597771672652526e-07, 1, 1),
+            (3, 1312, 6.597771672652526e-07, 1, 1),
+            (4, 1492, 6.597771672652526e-07, 1, 1),
+            (5, 1672, 6.597771672652526e-07, 1, 1),
+            (6, 1852, 6.597771672652526e-07, 1, 1),
+            (7, 2032, 6.597771672652526e-07, 1, 1),
+            (8, 2212, 6.597771672652526e-07, 1, 1),
+            (9, 2392, 6.597771672652526e-07, 1, 1),
+            (10, 2572, 6.597771672652526e-07, 1, 1),
+            (11, 2752, 6.597771672652526e-07, 1, 1),
+            (12, 2932, 6.597771672652526e-07, 1, 1),
+            (13, 3112, 6.597771672652526e-07, 1, 1),
+            (14, 3292, 6.597771672652526e-07, 1, 1),
+            (15, 3472, 6.597771672652526e-07, 1, 1),
+            (16, 3652, 6.597771672652526e-07, 1, 1),
+            (17, 3832, 6.597771672652526e-07, 1, 1),
+            (18, 3922, 6.597771672652526e-07, 1, 1),
         ],
     ),
     Golden(
         function='sphere', dimension=5, sigma=0.5, rs=1, budget=500, seed=16,
         params=dict(ga=GaParams(pop_size=20, n_elites=2)),
-        best_fitness=929.1154676668252,
+        best_fitness=421.7947858965612,
         best_genome=[
-            -19.449968632539054,
-            1.6753528968334839,
-            -1.2348631552735183,
-            -7.076291175511715,
-            22.280228830024765,
+            -7.921257818591074,
+            7.767193891047852,
+            -11.35830376012044,
+            -10.489372144349678,
+            7.7253587125139225,
         ],
-        total_eval=492,
-        total_unchanged=28,
+        total_eval=488,
+        total_unchanged=32,
         trace=[
-            (0, 56, 1160.2993758592756, 10, 1),
-            (1, 94, 1122.6250501766951, 5, 1),
-            (2, 132, 1092.615866596752, 2, 1),
-            (3, 170, 1085.9466530551913, 1, 1),
-            (4, 208, 1069.3820238166381, 1, 1),
-            (5, 246, 1051.4371836725275, 1, 1),
-            (6, 284, 1028.15957426473, 1, 1),
-            (7, 322, 1011.5390456692202, 1, 1),
-            (8, 360, 997.0292766739436, 1, 1),
-            (9, 398, 977.3353505900354, 1, 1),
-            (10, 436, 955.7793245598625, 1, 1),
-            (11, 474, 938.4240477969886, 1, 1),
-            (12, 492, 929.1154676668252, 1, 1),
+            (0, 56, 1156.9171190834363, 10, 1),
+            (1, 92, 1142.424784487297, 7, 1),
+            (2, 128, 945.8413621527458, 4, 2),
+            (3, 166, 530.6726511659367, 3, 1),
+            (4, 204, 518.8624486770539, 1, 1),
+            (5, 242, 503.7229722551549, 1, 1),
+            (6, 280, 487.54476880236274, 1, 1),
+            (7, 318, 472.14956587513615, 1, 1),
+            (8, 356, 455.8489792241636, 1, 1),
+            (9, 394, 445.2717105034003, 1, 1),
+            (10, 432, 433.9160772951401, 1, 1),
+            (11, 470, 426.49111367180797, 1, 1),
+            (12, 488, 421.7947858965612, 1, 1),
         ],
     ),
     Golden(
         function='griewank', dimension=10, sigma=0.5, rs=1, budget=4000, seed=12,
-        best_fitness=0.0038596230127532216,
+        best_fitness=0.0018273755047292228,
         best_genome=[
-            99.96109909942545,
-            99.93261085951994,
-            100.03583637994856,
-            99.98078637105904,
-            99.99942290508737,
-            100.11658113394566,
-            100.00394973433754,
-            100.00259970467161,
-            100.0671741166886,
-            99.91989102008687,
+            99.99420078715723,
+            99.97252494863065,
+            100.02185828171258,
+            99.9901227450397,
+            100.01198160114892,
+            100.03145838580399,
+            100.10409214288046,
+            100.00039893647512,
+            100.03584121907605,
+            99.89205245865912,
         ],
-        total_eval=3953,
-        total_unchanged=328,
+        total_eval=3974,
+        total_unchanged=335,
         trace=[
-            (0, 1163, 0.005657569068610924, 10, 4),
-            (1, 1343, 0.004932682997974891, 8, 1),
-            (2, 1523, 0.004932682997974891, 1, 1),
-            (3, 1703, 0.0038596230127532216, 1, 1),
-            (4, 1883, 0.0038596230127532216, 1, 1),
-            (5, 2063, 0.0038596230127532216, 1, 1),
-            (6, 2243, 0.0038596230127532216, 1, 1),
-            (7, 2423, 0.0038596230127532216, 1, 1),
-            (8, 2603, 0.0038596230127532216, 1, 1),
-            (9, 2783, 0.0038596230127532216, 1, 1),
-            (10, 2963, 0.0038596230127532216, 1, 1),
-            (11, 3143, 0.0038596230127532216, 1, 1),
-            (12, 3323, 0.0038596230127532216, 1, 1),
-            (13, 3503, 0.0038596230127532216, 1, 1),
-            (14, 3683, 0.0038596230127532216, 1, 1),
-            (15, 3863, 0.0038596230127532216, 1, 1),
-            (16, 3953, 0.0038596230127532216, 1, 1),
+            (0, 1184, 0.00345840366905259, 10, 2),
+            (1, 1364, 0.00345840366905259, 5, 1),
+            (2, 1544, 0.00345840366905259, 1, 1),
+            (3, 1724, 0.00345840366905259, 1, 1),
+            (4, 1904, 0.002462101719566956, 1, 1),
+            (5, 2084, 0.002462101719566956, 1, 1),
+            (6, 2264, 0.002462101719566956, 1, 1),
+            (7, 2444, 0.002462101719566956, 1, 1),
+            (8, 2624, 0.002462101719566956, 1, 1),
+            (9, 2804, 0.002462101719566956, 1, 1),
+            (10, 2984, 0.002462101719566956, 1, 1),
+            (11, 3164, 0.002303140698063033, 1, 1),
+            (12, 3344, 0.0018273755047292228, 1, 1),
+            (13, 3524, 0.0018273755047292228, 1, 1),
+            (14, 3704, 0.0018273755047292228, 1, 1),
+            (15, 3884, 0.0018273755047292228, 1, 1),
+            (16, 3974, 0.0018273755047292228, 1, 1),
         ],
     ),
     Golden(
         function='rastrigin1', dimension=10, sigma=0.0, rs=3, budget=6000, seed=13,
-        best_fitness=7.519812806461587,
+        best_fitness=0.13225506623111016,
         best_genome=[
-            0.06330212184841331,
-            -0.03917837868960868,
-            -0.051747379421558826,
-            0.0521761826371453,
-            -0.037231154332876215,
-            -0.11485629411333251,
-            -0.03543286380489699,
-            0.10601489003814815,
-            0.03070611283266689,
-            0.0059197654090665745,
+            -0.003217497092884791,
+            -0.010976733586576862,
+            0.020189655164391876,
+            -0.008060813235481051,
+            -0.0003191776600195641,
+            -0.0019987701926135,
+            -0.007050444216514798,
+            -0.0005238082003589719,
+            0.0026136175070010817,
+            -0.0017021815843326852,
         ],
         total_eval=5841,
-        total_unchanged=402,
+        total_unchanged=192,
         trace=[
-            (0, 3474, 26.61943220894625, 10, 4),
-            (1, 3960, 26.61943220894625, 10, 5),
-            (2, 4452, 26.61943220894625, 8, 3),
-            (3, 5010, 22.978833470554335, 7, 1),
-            (4, 5571, 10.304721803351441, 3, 1),
-            (5, 5841, 7.519812806461587, 1, 1),
+            (0, 3561, 9.142507528220932, 10, 2),
+            (1, 4131, 3.623069458308251, 7, 1),
+            (2, 4701, 3.623069458308251, 1, 1),
+            (3, 5271, 3.134163154506169, 1, 1),
+            (4, 5841, 0.13225506623111016, 1, 1),
         ],
     ),
     Golden(
         function='rosenbrock', dimension=10, sigma=0.3, rs=1, budget=4000, seed=14,
-        best_fitness=8096.209378023632,
+        best_fitness=669.6654390637331,
         best_genome=[
-            -0.13180635095779158,
-            1.3591044408280426,
-            -0.17350293047897034,
-            -1.5897540367719536,
-            0.538644149204662,
-            1.3522184444653442,
-            1.487336735413805,
-            1.1496697353030494,
-            -2.91951611708956,
-            15.443392828891428,
+            0.5274296120940233,
+            0.2416493636780127,
+            0.14183396674385437,
+            0.1802908825593985,
+            0.2561200661523974,
+            0.3422132169628824,
+            0.029994681634293974,
+            0.026994906410169626,
+            -2.5112464372790058,
+            6.515641450031673,
         ],
-        total_eval=3996,
-        total_unchanged=185,
+        total_eval=3938,
+        total_unchanged=171,
         trace=[
-            (0, 1151, 222206.34601537779, 10, 5),
-            (1, 1336, 185039.0216953971, 10, 3),
-            (2, 1526, 45949.29103122612, 2, 1),
-            (3, 1716, 45056.34845444147, 1, 1),
-            (4, 1906, 40460.70172098427, 1, 1),
-            (5, 2096, 37289.2983628264, 1, 1),
-            (6, 2286, 34279.8669005648, 1, 1),
-            (7, 2476, 31166.24448212634, 1, 1),
-            (8, 2666, 27977.758334219314, 1, 1),
-            (9, 2856, 26299.287875866823, 1, 1),
-            (10, 3046, 24659.61760293148, 1, 1),
-            (11, 3236, 21877.24335740132, 1, 1),
-            (12, 3426, 18692.10272500397, 1, 1),
-            (13, 3616, 15177.586373250926, 1, 1),
-            (14, 3806, 12050.220980248632, 1, 1),
-            (15, 3996, 8096.209378023632, 1, 1),
+            (0, 1199, 6540.317103690909, 10, 3),
+            (1, 1388, 6540.317103690909, 7, 2),
+            (2, 1568, 6540.317103690909, 2, 1),
+            (3, 1758, 6336.672448353512, 1, 1),
+            (4, 1948, 5233.612901854332, 1, 1),
+            (5, 2138, 4558.922355755162, 1, 1),
+            (6, 2328, 3417.7551343461746, 1, 1),
+            (7, 2518, 1969.0637914394654, 1, 1),
+            (8, 2708, 1404.1590016772384, 1, 1),
+            (9, 2898, 988.0941440303767, 1, 1),
+            (10, 3088, 823.6575133345619, 1, 1),
+            (11, 3278, 761.6790651967542, 1, 1),
+            (12, 3468, 730.551905149433, 1, 1),
+            (13, 3658, 696.9524593107743, 1, 1),
+            (14, 3848, 676.1486013859894, 1, 1),
+            (15, 3938, 669.6654390637331, 1, 1),
         ],
     ),
     Golden(
         function='rastrigin1', dimension=5, sigma=0.5, rs=1, budget=4000, seed=15,
         params=dict(radius_fraction=0.01, max_clusters=4),
-        best_fitness=0.0022844827461554473,
+        best_fitness=0.00625209854800346,
         best_genome=[
-            -0.0008514437475529018,
-            0.00041422439488142295,
-            0.00010359982287774528,
-            -0.0024726487051260934,
-            -0.0021198859893975094,
+            0.001896971624424803,
+            -6.029755431622696e-05,
+            -0.0035752156360366097,
+            -0.003630141240797257,
+            -0.0013974186551399229,
         ],
-        total_eval=3917,
-        total_unchanged=364,
+        total_eval=3936,
+        total_unchanged=360,
         trace=[
-            (0, 758, 6.6958229711963995, 4, 2),
-            (1, 931, 6.6958229711963995, 4, 2),
-            (2, 1112, 6.6958229711963995, 4, 1),
-            (3, 1292, 1.0231209285353629, 4, 2),
-            (4, 1482, 0.045104467407583115, 4, 1),
-            (5, 1667, 0.045104467407583115, 4, 2),
-            (6, 1847, 0.018968434783118937, 4, 1),
-            (7, 2027, 0.005776506962888561, 4, 1),
-            (8, 2207, 0.005776506962888561, 4, 1),
-            (9, 2387, 0.004469631487467041, 4, 1),
-            (10, 2567, 0.004469631487467041, 4, 1),
-            (11, 2747, 0.004469631487467041, 2, 1),
-            (12, 2927, 0.004469631487467041, 4, 1),
-            (13, 3107, 0.004469631487467041, 3, 1),
-            (14, 3287, 0.0022844827461554473, 4, 1),
-            (15, 3467, 0.0022844827461554473, 4, 1),
-            (16, 3647, 0.0022844827461554473, 4, 1),
-            (17, 3827, 0.0022844827461554473, 4, 1),
-            (18, 3917, 0.0022844827461554473, 4, 1),
+            (0, 771, 1.1574572516904382, 4, 2),
+            (1, 951, 1.1417347919473002, 4, 2),
+            (2, 1138, 0.2894808974756913, 4, 2),
+            (3, 1327, 0.08225843524661514, 4, 1),
+            (4, 1507, 0.012820747781148611, 4, 1),
+            (5, 1687, 0.011694387700323716, 4, 1),
+            (6, 1867, 0.011694387700323716, 4, 1),
+            (7, 2047, 0.011694387700323716, 4, 1),
+            (8, 2226, 0.009636157827252134, 4, 2),
+            (9, 2406, 0.009636157827252134, 4, 1),
+            (10, 2586, 0.009636157827252134, 3, 1),
+            (11, 2766, 0.00625209854800346, 3, 1),
+            (12, 2946, 0.00625209854800346, 3, 1),
+            (13, 3126, 0.00625209854800346, 4, 1),
+            (14, 3306, 0.00625209854800346, 4, 1),
+            (15, 3486, 0.00625209854800346, 4, 1),
+            (16, 3666, 0.00625209854800346, 4, 1),
+            (17, 3846, 0.00625209854800346, 4, 1),
+            (18, 3936, 0.00625209854800346, 3, 1),
         ],
     ),
     Golden(
         function='rosenbrock', dimension=5, sigma=0.5, rs=1, budget=4000, seed=15,
         params=dict(radius_fraction=0.01, max_clusters=4),
-        best_fitness=381.18892203579094,
+        best_fitness=1.7978874196905124,
         best_genome=[
-            -0.19049899773657264,
-            0.011702379880684413,
-            -1.8320210913178099,
-            3.8673788517954684,
-            15.039800118023816,
+            0.7683936874413615,
+            0.544554356249337,
+            0.3195844048455176,
+            0.11883257631936914,
+            0.006403553241218395,
         ],
-        total_eval=3979,
-        total_unchanged=202,
+        total_eval=4000,
+        total_unchanged=294,
         trace=[
-            (0, 764, 22548.342560272744, 4, 2),
-            (1, 944, 9087.447417958732, 4, 1),
-            (2, 1129, 7756.079031890167, 4, 2),
-            (3, 1319, 5012.837796519267, 4, 1),
-            (4, 1509, 3423.7753418273996, 1, 1),
-            (5, 1699, 2270.721249465995, 1, 1),
-            (6, 1889, 1649.7396312925753, 1, 1),
-            (7, 2079, 1466.134054863195, 1, 1),
-            (8, 2269, 1195.8507883355035, 1, 1),
-            (9, 2459, 954.1969242837705, 1, 1),
-            (10, 2649, 725.419637712074, 1, 1),
-            (11, 2839, 566.3846307028093, 1, 1),
-            (12, 3029, 457.1203648809538, 1, 1),
-            (13, 3219, 416.32888882540334, 1, 1),
-            (14, 3409, 391.5381834505446, 1, 1),
-            (15, 3599, 385.16216299482966, 1, 1),
-            (16, 3789, 382.4852241749571, 1, 1),
-            (17, 3979, 381.18892203579094, 1, 1),
+            (0, 783, 13071.964516124382, 4, 2),
+            (1, 963, 249.26052577725198, 4, 0),
+            (2, 1149, 150.90484209666522, 4, 2),
+            (3, 1337, 65.25477531834053, 4, 2),
+            (4, 1527, 64.22398305487314, 1, 1),
+            (5, 1717, 22.359224205173714, 1, 1),
+            (6, 1907, 12.171792671782907, 1, 1),
+            (7, 2096, 4.088387633412148, 1, 1),
+            (8, 2286, 2.403062240880847, 1, 1),
+            (9, 2466, 1.8174880009934058, 1, 1),
+            (10, 2650, 1.8062187115932904, 1, 1),
+            (11, 2830, 1.8062187115932904, 1, 1),
+            (12, 3010, 1.8062187115932904, 1, 1),
+            (13, 3190, 1.8062187115932904, 1, 1),
+            (14, 3370, 1.8062187115932904, 1, 1),
+            (15, 3550, 1.8062187115932904, 1, 1),
+            (16, 3730, 1.7978874196905124, 1, 1),
+            (17, 3910, 1.7978874196905124, 1, 1),
+            (18, 4000, 1.7978874196905124, 1, 1),
         ],
     ),
 ]
@@ -294,72 +294,72 @@ DPSEA_GOLDEN = [
 CGA_GOLDEN = [
     Golden(
         function='sphere', dimension=5, sigma=1.0, rs=2, budget=3000, seed=21,
-        best_fitness=2.787575026957006,
+        best_fitness=38.95211296708679,
         best_genome=[
-            0.1354778388076494,
-            0.29043340154900604,
-            -0.7540416772220802,
-            -0.26187534219660735,
-            -1.4309827656457677,
+            2.0627445513233122,
+            -2.3898781413822183,
+            0.3618275401398889,
+            5.2784470268709,
+            0.9963725047041014,
         ],
         total_eval=2720,
         total_unchanged=280,
         trace=[
             (0, 200, 2704.7574621895583, 0, 0),
-            (1, 380, 514.5481266743454, 0, 0),
-            (2, 560, 345.5210134540679, 0, 0),
-            (3, 740, 145.05593520360563, 0, 0),
-            (4, 920, 98.64066476102298, 0, 0),
-            (5, 1100, 25.06288241035066, 0, 0),
-            (6, 1280, 10.235076053118895, 0, 0),
-            (7, 1460, 5.992637271762429, 0, 0),
-            (8, 1640, 5.734885934518364, 0, 0),
-            (9, 1820, 4.601654466821262, 0, 0),
-            (10, 2000, 4.186413775211253, 0, 0),
-            (11, 2180, 3.330013754800567, 0, 0),
-            (12, 2360, 3.2018111762896635, 0, 0),
-            (13, 2540, 2.787575026957006, 0, 0),
-            (14, 2720, 2.787575026957006, 0, 0),
+            (1, 380, 514.230442510982, 0, 0),
+            (2, 560, 181.94452732337112, 0, 0),
+            (3, 740, 129.0953433263296, 0, 0),
+            (4, 920, 78.33450810536593, 0, 0),
+            (5, 1100, 59.812967215858365, 0, 0),
+            (6, 1280, 59.812967215858365, 0, 0),
+            (7, 1460, 51.3061097461394, 0, 0),
+            (8, 1640, 49.287227218584846, 0, 0),
+            (9, 1820, 41.433971635816846, 0, 0),
+            (10, 2000, 41.31905634340943, 0, 0),
+            (11, 2180, 40.22198028133832, 0, 0),
+            (12, 2360, 39.95678998768203, 0, 0),
+            (13, 2540, 39.13475780889251, 0, 0),
+            (14, 2720, 38.95211296708679, 0, 0),
         ],
     ),
     Golden(
         function='griewank', dimension=10, sigma=0.0, rs=1, budget=2000, seed=22,
-        best_fitness=5.16701152188202,
+        best_fitness=8.506437629213256,
         best_genome=[
-            50.15988296207388,
-            56.39978033519242,
-            62.147446942278776,
-            67.69438413880248,
-            191.92234594423016,
-            112.44651413655556,
-            82.37984974495575,
-            81.79338256422629,
-            74.51028895438708,
-            120.49266592486566,
+            53.14182911317142,
+            38.02830521240599,
+            34.099259166669114,
+            25.58247111738324,
+            178.33774736898891,
+            61.922765325498176,
+            49.11698849454362,
+            110.2227706850062,
+            37.22332508802365,
+            127.75450746766218,
         ],
         total_eval=1810,
         total_unchanged=190,
         trace=[
             (0, 100, 101.96202959250105, 0, 0),
-            (1, 190, 20.877844136893014, 0, 0),
-            (2, 280, 19.6971409383055, 0, 0),
-            (3, 370, 14.756131902456834, 0, 0),
-            (4, 460, 11.021978938306166, 0, 0),
-            (5, 550, 7.651614203617454, 0, 0),
-            (6, 640, 5.989113228917612, 0, 0),
-            (7, 730, 5.910219314757161, 0, 0),
-            (8, 820, 5.661960553596746, 0, 0),
-            (9, 910, 5.416488793674144, 0, 0),
-            (10, 1000, 5.318749957540647, 0, 0),
-            (11, 1090, 5.318749957540647, 0, 0),
-            (12, 1180, 5.273720868340698, 0, 0),
-            (13, 1270, 5.209235872449209, 0, 0),
-            (14, 1360, 5.2058911221454425, 0, 0),
-            (15, 1450, 5.186431827072082, 0, 0),
-            (16, 1540, 5.186431827072082, 0, 0),
-            (17, 1630, 5.175156321034949, 0, 0),
-            (18, 1720, 5.175156321034949, 0, 0),
-            (19, 1810, 5.16701152188202, 0, 0),
+            (1, 190, 20.880758389338606, 0, 0),
+            (2, 280, 20.880758389338606, 0, 0),
+            (3, 370, 20.880758389338606, 0, 0),
+            (4, 460, 13.537334541353225, 0, 0),
+            (5, 550, 10.065347224760469, 0, 0),
+            (6, 640, 9.4129774142342, 0, 0),
+            (7, 730, 9.357654859773945, 0, 0),
+            (8, 820, 8.99299253289077, 0, 0),
+            (9, 910, 8.721509917005562, 0, 0),
+            (10, 1000, 8.721509917005562, 0, 0),
+            (11, 1090, 8.699415635030563, 0, 0),
+            (12, 1180, 8.661242499075689, 0, 0),
+            (13, 1270, 8.573159121071505, 0, 0),
+            (14, 1360, 8.573159121071505, 0, 0),
+            (15, 1450, 8.538660163002579, 0, 0),
+            (16, 1540, 8.534398116821835, 0, 0),
+            (17, 1630, 8.519782289573907, 0, 0),
+            (18, 1720, 8.519782289573907, 0, 0),
+            (19, 1810, 8.506437629213256, 0, 0),
         ],
     ),
 ]

@@ -294,7 +294,14 @@ class TestLooRankCorrelation:
         rng = np.random.default_rng(12)
         xs = rng.uniform(-2, 2, (25, 3))
         ys = rng.normal(size=25) + xs @ np.array([1.0, -0.5, 0.2])
-        for kind in (ModelKind.LINEAR, ModelKind.DIAG_QUADRATIC):
+        # and the clustered 50-D archive below: 101 columns, the shape of a
+        # 50-D run's cluster fits
+        rng50 = np.random.default_rng(15)
+        xs50 = rng50.normal(3.0, 0.05, (150, 50))
+        ys50 = np.sum(xs50 * xs50 - 10 * np.cos(2 * np.pi * xs50), axis=1)
+        for xs, ys, kind in ((xs, ys, ModelKind.LINEAR),
+                             (xs, ys, ModelKind.DIAG_QUADRATIC),
+                             (xs50, ys50, ModelKind.DIAG_QUADRATIC)):
             loo = np.array([
                 predict(fit(np.delete(xs, i, 0), np.delete(ys, i), kind, 0.0), xs[i])
                 for i in range(len(ys))

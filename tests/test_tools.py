@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import shutil
 import subprocess
 from pathlib import Path
@@ -76,3 +77,38 @@ class TestDigests:
         for c in dpsea_cases:
             res = digests.run_case(c)
             assert any(r.n_eligible >= 2 for r in res.trace), c["name"]
+
+
+class TestQuality:
+    ROOT = TOOLS.parent
+
+    def test_a_checkout_against_itself_matches_everywhere(self, tmp_path, capsys,
+                                                          monkeypatch):
+        quality = load_tool("quality")
+        monkeypatch.setattr(quality, "QUICK_BUDGETS", {"sphere": 600, "rosenbrock": 400})
+        out = tmp_path / "quality.json"
+        assert quality.main(["--parent", str(self.ROOT), "--change", str(self.ROOT),
+                             "--quick", "--seeds", "4", "--functions",
+                             "sphere,rosenbrock", "--sigmas", "0,0.5",
+                             "--out", str(out)]) == 0
+        assert "0 of 4 cells with p < 0.0125" in capsys.readouterr().out
+        cells = json.loads(out.read_text())["cells"]
+        assert [(c["function"], c["sigma"], c["budget"]) for c in cells] == [
+            ("sphere", 0.0, 600), ("sphere", 0.5, 600),
+            ("rosenbrock", 0.0, 400), ("rosenbrock", 0.5, 400)]
+        for c in cells:
+            assert c["parent"] == c["change"]
+            assert len(c["change"]["gaps"]) == 4
+            assert c["u"] == 8.0 and c["p"] == 1.0
+
+    def test_mann_whitney_hand_case(self):
+        # pooled 1 | 2 2 2 | 3 4 5 has ranks 1 | 3 3 3 | 5 6 7, so x = (1, 2, 2)
+        # has rank sum 7 and U = 7 - 3 * 4 / 2 = 1 against a mean of 6; the
+        # one tie of three gives var = 3 * 4 / 12 * (8 - 24 / 42) = 52 / 7
+        quality = load_tool("quality")
+        u, p = quality.mann_whitney([1.0, 2.0, 2.0], [2.0, 3.0, 4.0, 5.0])
+        assert u == 1.0
+        assert p == pytest.approx(math.erfc(5 / math.sqrt(2 * 52 / 7)), rel=1e-12)
+        assert p == pytest.approx(0.06658, abs=1e-5)
+        # every value tied: no evidence either way
+        assert quality.mann_whitney([3.0] * 4, [3.0] * 5) == (10.0, 1.0)

@@ -113,13 +113,14 @@ def worker():
     print(json.dumps(out))
 
 
-def start(root):
-    """A fresh worker process that imports ``dpsea`` from ``root``'s src."""
+def start(root, script=__file__):
+    """A fresh ``script --worker`` process that imports ``dpsea`` from
+    ``root``'s src."""
     env = dict(os.environ)
     src = str(Path(root).resolve() / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--worker"],
+        [sys.executable, str(Path(script).resolve()), "--worker"],
         cwd=root, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True,
     )
@@ -127,6 +128,8 @@ def start(root):
 
 
 def collect(proc, src, selected, side):
+    """Feed ``selected`` to a ``start``ed worker as JSON; return its JSON
+    object without the ``dpsea`` path it checks."""
     out, err = proc.communicate(json.dumps(selected))
     if proc.returncode != 0:
         raise RuntimeError(f"{side} worker exited {proc.returncode}:\n{err}")
