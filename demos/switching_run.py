@@ -1,10 +1,10 @@
 """One full DPSEA run on the noisy 5-D sphere, cycle by cycle.
 
 Each cycle spends real evaluations on one main-population generation and
-on re-scoring the merged population, while the in-between cluster
-generations run for free on the regression surrogates. The trace shows the
-best true fitness falling as the budget is consumed, along with how many
-clusters formed and how many earned the right to evolve.
+on re-scoring the population after the switching step, while the
+in-between pseudo-population generations run for free on the step's
+regression surrogate. The trace shows the best true fitness falling as the
+budget is consumed.
 """
 
 import numpy as np
@@ -18,19 +18,11 @@ def main():
     params = DpseaParams(max_total_eval=90_000)
     result = run(fn, noise, params, RngState(2024))
 
-    print("cycle   evals   clusters  eligible  best true fitness")
-    print("-" * 56)
+    print("cycle   evals   best true fitness")
+    print("-" * 36)
     step = max(1, len(result.trace) // 15)
-    for rec in result.trace[::step]:
-        print(
-            f"{rec.cycle:>5} {rec.total_eval:>8} {rec.n_clusters:>9} "
-            f"{rec.n_eligible:>9}   {rec.best_fitness:.6e}"
-        )
-    last = result.trace[-1]
-    print(
-        f"{last.cycle:>5} {last.total_eval:>8} {last.n_clusters:>9} "
-        f"{last.n_eligible:>9}   {last.best_fitness:.6e}"
-    )
+    for rec in result.trace[::step] + result.trace[-1:]:
+        print(f"{rec.cycle:>5} {rec.total_eval:>8}   {rec.best_fitness:.6e}")
 
     print()
     print(f"final best true fitness: {result.best_fitness:.6e}")

@@ -1,32 +1,34 @@
 """Distributed population switching engine.
 
 One run starts from an initial design seeded with a global surrogate's
-minimizer, then alternates between a single main population, evolved on
-resampled noisy fitness, and a set of self-organized clusters
-(pseudo-populations) that evolve on regression-estimated fitness at zero
-evaluation cost, for as many generations (up to ``t_switch``) as their
-model's leave-one-out fidelity earns. At each switching step the clusters
-merge back, true fitness is resampled, and the population re-dissolves.
-``run`` fits each eligible cluster's surrogate before its pseudo
-generations, and ends when the next main generation or merge would overrun
-``max_total_eval`` (``merge_and_resample`` then returns ``None``).
+minimizer, then alternates between a main generation of the population,
+evolved on resampled noisy fitness, and a switching step. The step fits one
+regression surrogate on its observations (the population before the main
+generation and that generation's offspring) and evolves the whole
+population as one pseudo-population on the surrogate's estimates, at zero
+evaluation cost, for as many generations (up to ``t_switch``) as the
+model's leave-one-out fidelity earns. ``merge_and_resample`` then restores
+true fitness by resampling. ``run`` ends when the next main generation or
+merge would overrun ``max_total_eval`` (``merge_and_resample`` then returns
+``None``).
 
-The population is a ``ga.Population`` of arrays. Each cluster holds its
-members as a ``Population`` of its own (rows copied from the dissolved
-population, listed in ``rows``) and its regression archive as an
-``(xs, ys)`` pair of arrays.
+The paper splits the population into self-organized clusters, one
+pseudo-population per region. At this package's defaults the initial
+design starts every run inside one cluster radius, so ``run`` keeps one
+pseudo-population; ``self_organize`` remains as the library's partition.
+The population is a ``ga.Population`` of arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _blas, regression
 from .ga import GaParams, Population
-from .regression import ModelKind, RegressionModel
+from .regression import ModelKind
 from .results import CycleRecord, RunResult
 from .stochastics import Budget, check_budget, resample_many
 
@@ -35,8 +37,6 @@ __all__ = [
     "DpseaParams",
     "self_organize",
     "adaptive_mutation_rate",
-    "fit_surrogate",
-    "surrogate_generations",
     "evolve_pseudo",
     "merge_and_resample",
     "initial_design",
@@ -46,45 +46,21 @@ __all__ = [
 
 @dataclass
 class PseudoPopulation:
-    """A self-organized cluster acting as distributed memory for one region.
-
-    A cluster lives one cycle: ``self_organize`` builds it from the
-    dissolved population and ``merge_and_resample`` returns its members.
-    ``members`` are copies of the ``rows`` of the dissolved population,
-    ``seed_index`` among them; the seed is the cluster's best member, and
-    the clusters come best seed first. ``eligible``, set where the cluster
-    is built, grants it pseudo generations this cycle. ``archive`` is an
-    ``(xs, ys)`` pair of genomes ``(m, D)`` and fitness ``(m,)`` that came
-    from actual resampled evaluation at the latest switching step;
-    regression models are fitted on it, never on estimated values.
-    ``fidelity`` is the model's leave-one-out rank correlation on that
-    archive. ``fit_surrogate`` also fixes the cluster's GA settings for the
-    cycle, since its size does not change until the merge: ``ga``
-    (``pop_size`` the cluster size) and ``rates``, the adaptive mutation
-    rate of each fitness rank.
-    """
+    """One cluster of a ``self_organize`` partition: ``members`` are copies
+    of the ``rows`` of the partitioned population, ``seed_index`` among
+    them; the seed is the cluster's best member."""
 
     members: Population
     rows: np.ndarray
     seed_index: int
-    archive: tuple[np.ndarray, np.ndarray]
-    eligible: bool
-    model: RegressionModel | None = None
-    fidelity: float = 0.0
-    ga: GaParams | None = None
-    rates: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class DpseaParams:
     ga: GaParams = field(default_factory=GaParams)
-    # most pseudo generations per cycle; a cluster runs
+    # most surrogate generations per switching step; a step runs
     # round(t_switch * max(0, fidelity)) of them
     t_switch: int = 10
-    max_clusters: int = 10
-    radius_fraction: float = 0.1
-    kappa: float = 0.5
-    s_min: int = 5
     rs_merge: int = 1
     max_total_eval: int = 90_000
     regression_lambda: float = 1e-6
@@ -92,14 +68,6 @@ class DpseaParams:
     def __post_init__(self):
         if self.t_switch < 1:
             raise ValueError("t_switch must be >= 1")
-        if self.max_clusters < 1:
-            raise ValueError("max_clusters must be >= 1")
-        if not 0.0 < self.radius_fraction <= 1.0:
-            raise ValueError("radius_fraction must be in (0, 1]")
-        if not 0.0 < self.kappa <= 1.0:
-            raise ValueError("kappa must be in (0, 1]")
-        if not 1 <= self.s_min <= self.ga.pop_size:
-            raise ValueError("s_min must be in [1, pop_size]")
         if self.rs_merge < 1:
             raise ValueError("rs_merge must be >= 1")
         if not 0.0 <= self.regression_lambda < math.inf:
@@ -118,35 +86,26 @@ def _domain_diagonal(fn):
     return math.sqrt(fn.dimension) * (fn.upper_bound - fn.lower_bound)
 
 
-def self_organize(pop, fn, params, samples=None):
-    """Dissolve a population into disjoint clusters, greedy best-first.
+def self_organize(pop, fn, radius_fraction=0.1, max_clusters=10):
+    """Partition a population into disjoint clusters, greedy best-first.
 
     The best unassigned individual seeds a new cluster (up to
     ``max_clusters``) and captures every unassigned individual within
     ``radius_fraction`` of the domain diagonal; leftovers then join the
     nearest seed (ties to the lower seed index). Members keep population
-    order. Archives hold actually-evaluated (genome, fitness) pairs: the
-    members' own sampled fitness, or, when ``samples`` is given as an
-    ``(xs, ys)`` pool of true-fitness observations from the current
-    switching step, each observation assigned to its nearest seed (ties to
-    the earlier cluster).
-
-    Best-first means no member, captured or leftover, precedes its seed in
-    the stable fitness order, and the seeds' (fitness, row) pairs increase
-    with the cluster index. The first ``ceil(kappa * n_clusters)`` clusters
-    are thus the top ones by best fitness, and each of them with at least
-    ``s_min`` members is ``eligible``.
+    order, and the clusters come best seed first.
     """
     n = len(pop)
-    if n == 0:
-        raise ValueError("cannot organize an empty population")
+    if n == 0 or max_clusters < 1 or not radius_fraction >= 0:
+        raise ValueError("need a nonempty population, max_clusters >= 1 "
+                         "and radius_fraction >= 0")
     genomes = pop.genomes
-    radius = params.radius_fraction * _domain_diagonal(fn)
+    radius = radius_fraction * _domain_diagonal(fn)
 
     label = np.full(n, -1)  # cluster of each individual, -1 unassigned
     order = np.argsort(pop.fitness, kind="stable")
     seeds = []
-    while len(seeds) < params.max_clusters:
+    while len(seeds) < max_clusters:
         free = order[label[order] < 0]
         if free.size == 0:
             break
@@ -165,125 +124,65 @@ def self_organize(pop, fn, params, samples=None):
         )
         label[leftover] = by_index[np.argmin(dists, axis=1)]
 
-    if samples is not None:
-        xs, ys = (np.asarray(v, dtype=np.float64) for v in samples)
-        dists = np.linalg.norm(xs[:, None, :] - genomes[seeds][None, :, :], axis=2)
-        nearest = np.argmin(dists, axis=1)
-
-    top = math.ceil(params.kappa * len(seeds))
     clusters = []
     for k, seed in enumerate(seeds.tolist()):
         rows = np.flatnonzero(label == k)
-        members = pop.take(rows)
-        if samples is None:
-            sampled = members.sampled
-            archive = (members.genomes[sampled], members.fitness[sampled])
-        else:
-            archive = (xs[nearest == k], ys[nearest == k])
-        eligible = k < top and len(rows) >= params.s_min
-        clusters.append(PseudoPopulation(members, rows, seed, archive, eligible))
+        clusters.append(PseudoPopulation(pop.take(rows), rows, seed))
     return clusters
 
 
-def adaptive_mutation_rate(rank_fraction, cluster_size, params):
-    """Mutation rate increasing with fitness rank, decreasing with cluster size.
+# the pseudo-population size at which adaptive_mutation_rate leaves the
+# rank-scaled rate unscaled
+S_MIN = 5
 
-    ``clamp(p_m * (0.5 + rank_fraction) * sqrt(s_min / cluster_size), 0.05, 1.0)``
+
+def adaptive_mutation_rate(rank_fraction, size, params):
+    """Mutation rate increasing with fitness rank, decreasing with the
+    pseudo-population's size.
+
+    ``clamp(p_m * (0.5 + rank_fraction) * sqrt(S_MIN / size), 0.05, 1.0)``
     with ``rank_fraction`` in [0, 1] (best member 0, worst 1). An array of
     rank fractions gives an array of rates; a scalar gives an ``np.float64``.
     """
     r = np.asarray(rank_fraction, dtype=np.float64)
     if not np.all((r >= 0.0) & (r <= 1.0)):
         raise ValueError("rank_fraction must be in [0, 1]")
-    if cluster_size < 1:
-        raise ValueError("cluster_size must be positive")
-    rate = params.ga.p_m * (0.5 + r) * math.sqrt(params.s_min / cluster_size)
+    if size < 1:
+        raise ValueError("size must be positive")
+    rate = params.ga.p_m * (0.5 + r) * math.sqrt(S_MIN / size)
     return np.clip(rate, 0.05, 1.0)
 
 
-def fit_surrogate(cluster, fn, params):
-    """Fit the cluster's model on its archive and rate how well it ranks.
+def evolve_pseudo(pop, model, rates, fn, params, rng):
+    """One surrogate generation of the population; returns the next one.
 
-    The basis is the richest the archive supports; an empty archive raises
-    ``ValueError`` (in ``run`` every cluster's seed is in the sample pool,
-    so its archive is never empty). ``regression.fit_rated`` gives the model
-    and ``fidelity``, its leave-one-out rank correlation on the archive.
-    The cluster's ``ga`` and rate table ``rates`` for ``evolve_pseudo`` are
-    set here too, once per cycle.
+    Offspring are scored by ``model`` and marked not ``sampled``; no true
+    evaluation is made. ``rates`` is the mutation rate of each fitness rank
+    (``run`` takes it from ``adaptive_mutation_rate`` once per run); the
+    rates set how many genes mutate, and the step itself is the absolute
+    ``sqrt(ga.sigma_m)`` of ``GaParams``. Elitism keeps the best members by
+    fitness, which mixes measured and estimated values.
     """
-    xs, ys = cluster.archive
-    lam = params.regression_lambda
-    kind = regression.select_kind(len(ys), fn.dimension)
-    cluster.model, cluster.fidelity = regression.fit_rated(xs, ys, kind, lam)
-    size = len(cluster.members)
-    fracs = np.arange(size) / (size - 1) if size > 1 else np.zeros(1)
-    cluster.rates = adaptive_mutation_rate(fracs, size, params)
-    cluster.ga = replace(
-        params.ga, pop_size=size, n_elites=min(params.ga.n_elites, size - 1)
-    )
-    return cluster
-
-
-def surrogate_generations(cluster, params):
-    """Pseudo generations an eligible cluster runs this cycle.
-
-    ``t_switch`` scaled by the model's fidelity and rounded:
-    ``round(t_switch * max(0, fidelity))``. A model that ranks unseen
-    points no better than chance (a fit on barely more samples than
-    coefficients over a rugged, widely spread region) gets none, so it
-    cannot lead the cluster away from its measured best; a faithful local
-    model gets all ``t_switch``.
-    """
-    return round(params.t_switch * max(0.0, cluster.fidelity))
-
-
-def evolve_pseudo(cluster, fn, params, rng):
-    """One regression-guided GA generation inside an eligible cluster.
-
-    Evolves the members for one generation with fitness given by the
-    surrogate that ``fit_surrogate`` fitted on the cluster's archive (the
-    archive is fixed between merges, so one fit serves every generation),
-    with the cluster's ``ga`` settings and adaptive mutation rates by
-    fitness rank, both fixed by ``fit_surrogate`` for the cycle. The rates
-    set how many genes mutate; the step itself is the absolute
-    ``sqrt(ga.sigma_m)`` of ``GaParams``, not scaled to the domain or the
-    cluster. Consumes zero true evaluations; within-cluster elitism keeps
-    the current best member by fitness, which mixes measured and estimated
-    values. Offspring are not ``sampled``. An ineligible or unfitted
-    cluster raises ``ValueError``.
-    """
-    model = cluster.model
-    if not cluster.eligible or model is None:
-        raise ValueError("only eligible, fitted pseudo-populations may evolve")
-    cluster.members = cluster.members.evolve(
-        cluster.ga,
+    return pop.evolve(
+        params.ga,
         rng,
         fn.bounds,
         lambda xs: regression.predict_many(model, xs),
         sampled=False,
-        mutation_rates=cluster.rates,
+        mutation_rates=rates,
     )
-    return cluster
 
 
-def merge_and_resample(clusters, fn, noise, rng, budget, params):
-    """Regain the main population and refresh fitness with true resampling.
+def merge_and_resample(pop, fn, noise, rng, budget, params):
+    """Refresh the population's fitness with true resampling, in place.
 
-    The clusters contribute their members as-is, cluster by cluster, and
-    must hold exactly ``pop_size`` members between them. Every member is
-    then scored by ``rs_merge``-fold resampled true fitness except the
-    ``exempt`` elites (``unchanged and sampled``), which keep their fitness
-    and accrue ``total_unchanged``; only the rescored rows reach the
-    budget's best-so-far tracker, the exempt ones having reached it when
-    they were last evaluated. When that scoring would overrun
-    ``max_total_eval``, returns ``None`` and charges nothing.
+    Every member is scored by ``rs_merge``-fold resampled true fitness
+    except the ``exempt`` elites (``unchanged and sampled``), which keep
+    their fitness and accrue ``total_unchanged``; only the rescored rows
+    reach the budget's best-so-far tracker, the exempt ones having reached
+    it when they were last evaluated. Returns ``pop``, or ``None`` when the
+    scoring would overrun ``max_total_eval``, charging nothing.
     """
-    pop = Population.concat([c.members for c in clusters])
-    if len(pop) != params.ga.pop_size:
-        raise ValueError(
-            f"clusters hold {len(pop)} members, not pop_size={params.ga.pop_size}"
-        )
-
     rs = params.rs_merge
     to_eval = np.flatnonzero(~pop.exempt)
     if budget.total_eval + len(to_eval) * rs > params.max_total_eval:
@@ -387,31 +286,35 @@ def run(fn, noise, params, rng):
     """Full switching loop until the evaluation budget is exhausted.
 
     The population starts as the best ``pop_size`` points of
-    ``initial_design``. Per cycle: one main-population generation on
-    resampled noisy fitness (mutation step ``sqrt(ga.sigma_m)``, absolute),
-    dissolution into clusters, zero-cost regression-guided generations in
-    the eligible clusters (``surrogate_generations``: up to ``t_switch``,
-    as many as the model's leave-one-out fidelity earns, with the same
-    absolute step), then merge with true resampling. Clusters live one
-    cycle; ``self_organize`` builds them best-first and marks the eligible
-    ones. Their archives are split from the switching step's observations:
-    the population before the main generation (the initial design's best,
-    or the last merge) and that generation's offspring. The returned
-    best-ever solution is scored by the noiseless fitness, which
-    ``resample_many`` computes anyway for every charged point and offers to
-    ``Budget.best``. The run keeps OpenBLAS on one thread
-    (``_blas.one_thread``), so parallel runs do not contend for cores.
+    ``initial_design``. Per cycle: one main generation on resampled noisy
+    fitness (mutation step ``sqrt(ga.sigma_m)``, absolute), then the
+    switching step. It fits one surrogate (``regression.fit_rated``, the
+    richest basis ``select_kind`` allows) on the step's observations: the
+    population before the main generation (the initial design's best, or
+    the last merge) and that generation's offspring. The population then
+    runs ``round(t_switch * max(0, fidelity))`` zero-cost surrogate
+    generations (``evolve_pseudo``, with the same absolute step), so a model
+    that ranks unseen points no better than chance gets none, and
+    ``merge_and_resample`` rescores it. Every cycle records one
+    pseudo-population, evolved. The returned best-ever solution is scored
+    by the noiseless fitness, which ``resample_many`` computes anyway for
+    every charged point and offers to ``Budget.best``. The run keeps
+    OpenBLAS on one thread (``_blas.one_thread``), so parallel runs do not
+    contend for cores.
     """
     rs = params.rs_merge
-    budget = Budget(pop_size=params.ga.pop_size, total_it=0, rs=rs)
+    n = params.ga.pop_size
+    budget = Budget(pop_size=n, total_it=0, rs=rs)
 
     design_x, design_y = initial_design(fn, noise, params, rng, budget)
-    keep = np.argsort(design_y, kind="stable")[: params.ga.pop_size]
+    keep = np.argsort(design_y, kind="stable")[:n]
     pop = Population.new(design_x[keep], design_y[keep], sampled=True)
+    rates = adaptive_mutation_rate(np.arange(n) / (n - 1) if n > 1 else np.zeros(1),
+                                   n, params)
 
     trace = []
     n_elites = params.ga.n_elites
-    main_cost = (params.ga.pop_size - n_elites) * rs
+    main_cost = (n - n_elites) * rs
     # a merge over the cap gives no population and ends the run
     while pop is not None and budget.total_eval + main_cost <= params.max_total_eval:
         # main-population generation on resampled true fitness
@@ -425,31 +328,15 @@ def run(fn, noise, params, rng):
         )
         budget.skip(n_elites * rs)
 
-        # the switching step's observations become the clusters' archives
-        samples = (
-            np.concatenate([prev.genomes, pop.genomes[n_elites:]]),
-            np.concatenate([prev.fitness, pop.fitness[n_elites:]]),
-        )
-        clusters = self_organize(pop, fn, params, samples=samples)
-        generations = [
-            surrogate_generations(fit_surrogate(c, fn, params), params)
-            if c.eligible else 0
-            for c in clusters
-        ]
-        for g in range(params.t_switch):
-            for c, n in zip(clusters, generations):
-                if g < n:
-                    evolve_pseudo(c, fn, params, rng)
+        xs = np.concatenate([prev.genomes, pop.genomes[n_elites:]])
+        ys = np.concatenate([prev.fitness, pop.fitness[n_elites:]])
+        kind = regression.select_kind(len(ys), fn.dimension)
+        model, fidelity = regression.fit_rated(xs, ys, kind, params.regression_lambda)
+        for _ in range(round(params.t_switch * max(0.0, fidelity))):
+            pop = evolve_pseudo(pop, model, rates, fn, params, rng)
 
-        pop = merge_and_resample(clusters, fn, noise, rng, budget, params)
-        trace.append(
-            CycleRecord(
-                len(trace),
-                budget.total_eval,
-                budget.best.best_fitness,
-                len(clusters),
-                sum(1 for c in clusters if c.eligible),
-            )
-        )
+        pop = merge_and_resample(pop, fn, noise, rng, budget, params)
+        trace.append(CycleRecord(len(trace), budget.total_eval, budget.best.best_fitness,
+                                 n_clusters=1, n_eligible=1))
 
     return RunResult.from_budget(budget, trace)

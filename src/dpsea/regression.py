@@ -1,5 +1,5 @@
-"""Reduced-basis polynomial regression used to estimate fitness inside a
-cluster of noisy samples.
+"""Reduced-basis polynomial regression used to estimate fitness from a set
+of noisy samples.
 
 Three model bases, chosen by how many samples are available: constant,
 linear, and diagonal quadratic (intercept, per-coordinate linear and
@@ -142,7 +142,7 @@ def fit_rated(xs, ys, kind, lam):
     predicts each left-out sample by the mean of the others, which ranks
     them exactly backwards (-1). Fewer than three samples or constant
     ``ys`` give 0. A system the samples do not determine (the
-    factorization fails, as on a degenerate archive at ``lam = 0``) gives
+    factorization fails, as on a degenerate sample set at ``lam = 0``) gives
     ``fit``'s least-squares model and fidelity 0.
     """
     xs, ys = _checked(xs, ys, lam)

@@ -21,7 +21,7 @@ from dpsea.benchmarks import (
     optimum,
 )
 from dpsea.engine import DpseaParams, self_organize
-from dpsea.ga import GaParams, Population
+from dpsea.ga import Population
 from dpsea.regression import ModelKind, fit
 from dpsea.stochastics import Budget, RngState, resampled_fitness
 
@@ -162,32 +162,28 @@ def test_criterion_5_regression_oracle_equivalence():
 
 def test_criterion_6_clustering_laws():
     fn = make_function("sphere", dimension=3)
-    params = DpseaParams(ga=GaParams(pop_size=30, n_elites=3))
     rng = np.random.default_rng(123)
     for _ in range(1000):
         n = int(rng.integers(1, 31))
         fits = rng.normal(size=n)
         pop = Population.new(rng.uniform(-100, 100, (n, 3)), fits, sampled=True)
-        clusters = self_organize(pop, fn, params)
+        clusters = self_organize(pop, fn, radius_fraction=0.1, max_clusters=10)
         rows = [int(i) for c in clusters for i in c.rows]
         assert len(rows) == n and len(set(rows)) == n  # disjoint cover
         for c in clusters:
             assert np.array_equal(c.members.genomes, pop.genomes[c.rows])
 
-    wide = DpseaParams(ga=GaParams(pop_size=30, n_elites=3), radius_fraction=1.0)
     pop = Population.new(
         rng.uniform(-100, 100, (30, 3)), np.arange(30.0), sampled=True
     )
-    assert len(self_organize(pop, fn, wide)) == 1
+    assert len(self_organize(pop, fn, radius_fraction=1.0, max_clusters=10)) == 1
 
     # two tight blobs must be recovered exactly
     fn2 = make_function("sphere", dimension=2)
     blob_a = np.full((5, 2), -80.0) + rng.normal(0, 0.5, (5, 2))
     blob_b = np.full((5, 2), 80.0) + rng.normal(0, 0.5, (5, 2))
     pop = Population.new(np.vstack([blob_a, blob_b]), np.arange(10.0), sampled=True)
-    clusters = self_organize(
-        pop, fn2, DpseaParams(ga=GaParams(pop_size=10, n_elites=1))
-    )
+    clusters = self_organize(pop, fn2, radius_fraction=0.1, max_clusters=10)
     assert len(clusters) == 2
     got = sorted(tuple(c.rows.tolist()) for c in clusters)
     assert got == [tuple(range(5)), tuple(range(5, 10))]

@@ -3,18 +3,14 @@
 Each case pins ``best_fitness``, ``best_genome``, the budget's
 ``total_eval`` and ``total_unchanged`` and every ``CycleRecord`` of the
 trace, compared with ``==``. A change that only restructures the code
-(how the population is stored, how archives are built) must keep the RNG
-draw order and the floating-point operations, and so pass unchanged. A
-change that alters the search on purpose re-records these values and says
-so.
+(how the population is stored, how a switching step is laid out) must
+keep the RNG draw order and the floating-point operations, and so pass
+unchanged. A change that alters the search on purpose re-records these
+values and says so.
 
 The budgets are small, so the module runs in a few seconds. Besides the
-defaults, the cases cover a skipped initial design (a budget it does not
-fit in), rs = 3, sigma = 0, and two multi-cluster settings. At defaults
-the population soon collapses into one cluster, while
-``radius_fraction=0.01, max_clusters=4`` keeps four clusters alive through
-most of the rastrigin1 run, one or two of them eligible per cycle, so the
-others merge back unevolved for many cycles in a row.
+defaults, the cases cover a skipped initial design (two budgets it does
+not fit in), rs = 3 and sigma = 0.
 """
 
 import dataclasses
@@ -68,225 +64,180 @@ DPSEA_GOLDEN = [
             -0.00034635261422281917,
             0.00017805201546174337,
         ],
-        total_eval=3922,
-        total_unchanged=369,
+        total_eval=3923,
+        total_unchanged=368,
         trace=[
-            (0, 772, 6.597771672652526e-07, 10, 4),
-            (1, 952, 6.597771672652526e-07, 6, 1),
-            (2, 1132, 6.597771672652526e-07, 1, 1),
-            (3, 1312, 6.597771672652526e-07, 1, 1),
-            (4, 1492, 6.597771672652526e-07, 1, 1),
-            (5, 1672, 6.597771672652526e-07, 1, 1),
-            (6, 1852, 6.597771672652526e-07, 1, 1),
-            (7, 2032, 6.597771672652526e-07, 1, 1),
-            (8, 2212, 6.597771672652526e-07, 1, 1),
-            (9, 2392, 6.597771672652526e-07, 1, 1),
-            (10, 2572, 6.597771672652526e-07, 1, 1),
-            (11, 2752, 6.597771672652526e-07, 1, 1),
-            (12, 2932, 6.597771672652526e-07, 1, 1),
-            (13, 3112, 6.597771672652526e-07, 1, 1),
-            (14, 3292, 6.597771672652526e-07, 1, 1),
-            (15, 3472, 6.597771672652526e-07, 1, 1),
-            (16, 3652, 6.597771672652526e-07, 1, 1),
-            (17, 3832, 6.597771672652526e-07, 1, 1),
-            (18, 3922, 6.597771672652526e-07, 1, 1),
+            (0, 773, 6.597771672652526e-07, 1, 1),
+            (1, 953, 6.597771672652526e-07, 1, 1),
+            (2, 1133, 6.597771672652526e-07, 1, 1),
+            (3, 1313, 6.597771672652526e-07, 1, 1),
+            (4, 1493, 6.597771672652526e-07, 1, 1),
+            (5, 1673, 6.597771672652526e-07, 1, 1),
+            (6, 1853, 6.597771672652526e-07, 1, 1),
+            (7, 2033, 6.597771672652526e-07, 1, 1),
+            (8, 2213, 6.597771672652526e-07, 1, 1),
+            (9, 2393, 6.597771672652526e-07, 1, 1),
+            (10, 2573, 6.597771672652526e-07, 1, 1),
+            (11, 2753, 6.597771672652526e-07, 1, 1),
+            (12, 2933, 6.597771672652526e-07, 1, 1),
+            (13, 3113, 6.597771672652526e-07, 1, 1),
+            (14, 3293, 6.597771672652526e-07, 1, 1),
+            (15, 3473, 6.597771672652526e-07, 1, 1),
+            (16, 3653, 6.597771672652526e-07, 1, 1),
+            (17, 3833, 6.597771672652526e-07, 1, 1),
+            (18, 3923, 6.597771672652526e-07, 1, 1),
         ],
     ),
     Golden(
         function='sphere', dimension=5, sigma=0.5, rs=1, budget=500, seed=16,
         params=dict(ga=GaParams(pop_size=20, n_elites=2)),
-        best_fitness=421.7947858965612,
+        best_fitness=259.9687212453866,
         best_genome=[
-            -7.921257818591074,
-            7.767193891047852,
-            -11.35830376012044,
-            -10.489372144349678,
-            7.7253587125139225,
+            -1.3899566909171754,
+            6.908460310115453,
+            -9.009606664584965,
+            -6.461491865707356,
+            9.348049443877825,
         ],
-        total_eval=488,
-        total_unchanged=32,
+        total_eval=494,
+        total_unchanged=26,
         trace=[
-            (0, 56, 1156.9171190834363, 10, 1),
-            (1, 92, 1142.424784487297, 7, 1),
-            (2, 128, 945.8413621527458, 4, 2),
-            (3, 166, 530.6726511659367, 3, 1),
-            (4, 204, 518.8624486770539, 1, 1),
-            (5, 242, 503.7229722551549, 1, 1),
-            (6, 280, 487.54476880236274, 1, 1),
-            (7, 318, 472.14956587513615, 1, 1),
-            (8, 356, 455.8489792241636, 1, 1),
-            (9, 394, 445.2717105034003, 1, 1),
-            (10, 432, 433.9160772951401, 1, 1),
-            (11, 470, 426.49111367180797, 1, 1),
-            (12, 488, 421.7947858965612, 1, 1),
+            (0, 58, 360.36434779253625, 1, 1),
+            (1, 96, 351.17940539656075, 1, 1),
+            (2, 134, 343.5271982944337, 1, 1),
+            (3, 172, 339.1051791214248, 1, 1),
+            (4, 210, 328.35271393910716, 1, 1),
+            (5, 248, 318.52080543004524, 1, 1),
+            (6, 286, 309.5261914546933, 1, 1),
+            (7, 324, 300.38593967042806, 1, 1),
+            (8, 362, 289.8823761831847, 1, 1),
+            (9, 400, 278.85691768664566, 1, 1),
+            (10, 438, 271.4128314096197, 1, 1),
+            (11, 476, 262.41669781141775, 1, 1),
+            (12, 494, 259.9687212453866, 1, 1),
         ],
     ),
     Golden(
         function='griewank', dimension=10, sigma=0.5, rs=1, budget=4000, seed=12,
-        best_fitness=0.0018273755047292228,
+        best_fitness=0.0033347902923835937,
         best_genome=[
-            99.99420078715723,
-            99.97252494863065,
-            100.02185828171258,
-            99.9901227450397,
-            100.01198160114892,
-            100.03145838580399,
-            100.10409214288046,
-            100.00039893647512,
-            100.03584121907605,
-            99.89205245865912,
+            99.98087454823379,
+            99.9860322376176,
+            100.06938284757376,
+            100.04721753497653,
+            99.90293773987314,
+            100.10029157177114,
+            100.02803013079291,
+            100.00090768702526,
+            99.95638550487877,
+            100.03921161774126,
         ],
-        total_eval=3974,
-        total_unchanged=335,
+        total_eval=3979,
+        total_unchanged=330,
         trace=[
-            (0, 1184, 0.00345840366905259, 10, 2),
-            (1, 1364, 0.00345840366905259, 5, 1),
-            (2, 1544, 0.00345840366905259, 1, 1),
-            (3, 1724, 0.00345840366905259, 1, 1),
-            (4, 1904, 0.002462101719566956, 1, 1),
-            (5, 2084, 0.002462101719566956, 1, 1),
-            (6, 2264, 0.002462101719566956, 1, 1),
-            (7, 2444, 0.002462101719566956, 1, 1),
-            (8, 2624, 0.002462101719566956, 1, 1),
-            (9, 2804, 0.002462101719566956, 1, 1),
-            (10, 2984, 0.002462101719566956, 1, 1),
-            (11, 3164, 0.002303140698063033, 1, 1),
-            (12, 3344, 0.0018273755047292228, 1, 1),
-            (13, 3524, 0.0018273755047292228, 1, 1),
-            (14, 3704, 0.0018273755047292228, 1, 1),
-            (15, 3884, 0.0018273755047292228, 1, 1),
-            (16, 3974, 0.0018273755047292228, 1, 1),
+            (0, 1189, 0.00345840366905259, 1, 1),
+            (1, 1369, 0.00345840366905259, 1, 1),
+            (2, 1549, 0.00345840366905259, 1, 1),
+            (3, 1729, 0.00345840366905259, 1, 1),
+            (4, 1909, 0.00345840366905259, 1, 1),
+            (5, 2089, 0.00345840366905259, 1, 1),
+            (6, 2269, 0.00345840366905259, 1, 1),
+            (7, 2449, 0.00345840366905259, 1, 1),
+            (8, 2629, 0.00345840366905259, 1, 1),
+            (9, 2809, 0.00345840366905259, 1, 1),
+            (10, 2989, 0.00345840366905259, 1, 1),
+            (11, 3169, 0.00345840366905259, 1, 1),
+            (12, 3349, 0.00345840366905259, 1, 1),
+            (13, 3529, 0.00345840366905259, 1, 1),
+            (14, 3709, 0.0033347902923835937, 1, 1),
+            (15, 3889, 0.0033347902923835937, 1, 1),
+            (16, 3979, 0.0033347902923835937, 1, 1),
         ],
     ),
     Golden(
         function='rastrigin1', dimension=10, sigma=0.0, rs=3, budget=6000, seed=13,
-        best_fitness=0.13225506623111016,
+        best_fitness=0.04541988434210964,
         best_genome=[
-            -0.003217497092884791,
-            -0.010976733586576862,
-            0.020189655164391876,
-            -0.008060813235481051,
-            -0.0003191776600195641,
-            -0.0019987701926135,
-            -0.007050444216514798,
-            -0.0005238082003589719,
-            0.0026136175070010817,
-            -0.0017021815843326852,
+            0.0011974411138632715,
+            0.0012121677659491848,
+            -0.0054657373356395,
+            0.005795644450649708,
+            -0.0048972092795779,
+            0.008278411735287107,
+            0.0013951463417366913,
+            0.007984130857309766,
+            -0.0002551584105059063,
+            -0.002082694406413811,
         ],
-        total_eval=5841,
-        total_unchanged=192,
+        total_eval=5817,
+        total_unchanged=216,
         trace=[
-            (0, 3561, 9.142507528220932, 10, 2),
-            (1, 4131, 3.623069458308251, 7, 1),
-            (2, 4701, 3.623069458308251, 1, 1),
-            (3, 5271, 3.134163154506169, 1, 1),
-            (4, 5841, 0.13225506623111016, 1, 1),
+            (0, 3573, 6.876964802894037, 1, 1),
+            (1, 4143, 0.5415563465232225, 1, 1),
+            (2, 4713, 0.1509419667576708, 1, 1),
+            (3, 5277, 0.07583357532135437, 1, 1),
+            (4, 5817, 0.04541988434210964, 1, 1),
         ],
     ),
     Golden(
         function='rosenbrock', dimension=10, sigma=0.3, rs=1, budget=4000, seed=14,
-        best_fitness=669.6654390637331,
+        best_fitness=91.32265654581978,
         best_genome=[
-            0.5274296120940233,
-            0.2416493636780127,
-            0.14183396674385437,
-            0.1802908825593985,
-            0.2561200661523974,
-            0.3422132169628824,
-            0.029994681634293974,
-            0.026994906410169626,
-            -2.5112464372790058,
-            6.515641450031673,
+            -0.5164378596606484,
+            0.30612449979389417,
+            0.049186705583679505,
+            -0.644663953607927,
+            0.9118039166325597,
+            1.1046480140794173,
+            1.3667807048721554,
+            1.911046451109483,
+            3.6713794798609922,
+            13.51495062688436,
         ],
-        total_eval=3938,
-        total_unchanged=171,
+        total_eval=3949,
+        total_unchanged=160,
         trace=[
-            (0, 1199, 6540.317103690909, 10, 3),
-            (1, 1388, 6540.317103690909, 7, 2),
-            (2, 1568, 6540.317103690909, 2, 1),
-            (3, 1758, 6336.672448353512, 1, 1),
-            (4, 1948, 5233.612901854332, 1, 1),
-            (5, 2138, 4558.922355755162, 1, 1),
-            (6, 2328, 3417.7551343461746, 1, 1),
-            (7, 2518, 1969.0637914394654, 1, 1),
-            (8, 2708, 1404.1590016772384, 1, 1),
-            (9, 2898, 988.0941440303767, 1, 1),
-            (10, 3088, 823.6575133345619, 1, 1),
-            (11, 3278, 761.6790651967542, 1, 1),
-            (12, 3468, 730.551905149433, 1, 1),
-            (13, 3658, 696.9524593107743, 1, 1),
-            (14, 3848, 676.1486013859894, 1, 1),
-            (15, 3938, 669.6654390637331, 1, 1),
+            (0, 1199, 5790.725897436858, 1, 1),
+            (1, 1389, 4563.170261564325, 1, 1),
+            (2, 1579, 2638.7912600451427, 1, 1),
+            (3, 1769, 1335.1150834395137, 1, 1),
+            (4, 1959, 615.2527238609373, 1, 1),
+            (5, 2149, 313.08800974850396, 1, 1),
+            (6, 2339, 166.76719231380034, 1, 1),
+            (7, 2529, 104.53106459210913, 1, 1),
+            (8, 2719, 93.63802036050926, 1, 1),
+            (9, 2909, 92.43249804378233, 1, 1),
+            (10, 3099, 92.43249804378233, 1, 1),
+            (11, 3289, 91.98292736198052, 1, 1),
+            (12, 3479, 91.39389007536865, 1, 1),
+            (13, 3669, 91.39389007536865, 1, 1),
+            (14, 3859, 91.32265654581978, 1, 1),
+            (15, 3949, 91.32265654581978, 1, 1),
         ],
     ),
     Golden(
-        function='rastrigin1', dimension=5, sigma=0.5, rs=1, budget=4000, seed=15,
-        params=dict(radius_fraction=0.01, max_clusters=4),
-        best_fitness=0.00625209854800346,
+        function='rosenbrock', dimension=10, sigma=0.5, rs=1, budget=1000, seed=17,
+        best_fitness=143081.30170271883,
         best_genome=[
-            0.001896971624424803,
-            -6.029755431622696e-05,
-            -0.0035752156360366097,
-            -0.003630141240797257,
-            -0.0013974186551399229,
+            1.6611692662695827,
+            -4.244446662620476,
+            0.7158893884625834,
+            0.5756890701403743,
+            4.382591827665417,
+            -2.057943031698085,
+            1.9943422243056863,
+            -4.7279426597018475,
+            -0.6980689057648113,
+            1.4015466673870693,
         ],
-        total_eval=3936,
-        total_unchanged=360,
+        total_eval=950,
+        total_unchanged=50,
         trace=[
-            (0, 771, 1.1574572516904382, 4, 2),
-            (1, 951, 1.1417347919473002, 4, 2),
-            (2, 1138, 0.2894808974756913, 4, 2),
-            (3, 1327, 0.08225843524661514, 4, 1),
-            (4, 1507, 0.012820747781148611, 4, 1),
-            (5, 1687, 0.011694387700323716, 4, 1),
-            (6, 1867, 0.011694387700323716, 4, 1),
-            (7, 2047, 0.011694387700323716, 4, 1),
-            (8, 2226, 0.009636157827252134, 4, 2),
-            (9, 2406, 0.009636157827252134, 4, 1),
-            (10, 2586, 0.009636157827252134, 3, 1),
-            (11, 2766, 0.00625209854800346, 3, 1),
-            (12, 2946, 0.00625209854800346, 3, 1),
-            (13, 3126, 0.00625209854800346, 4, 1),
-            (14, 3306, 0.00625209854800346, 4, 1),
-            (15, 3486, 0.00625209854800346, 4, 1),
-            (16, 3666, 0.00625209854800346, 4, 1),
-            (17, 3846, 0.00625209854800346, 4, 1),
-            (18, 3936, 0.00625209854800346, 3, 1),
-        ],
-    ),
-    Golden(
-        function='rosenbrock', dimension=5, sigma=0.5, rs=1, budget=4000, seed=15,
-        params=dict(radius_fraction=0.01, max_clusters=4),
-        best_fitness=1.7978874196905124,
-        best_genome=[
-            0.7683936874413615,
-            0.544554356249337,
-            0.3195844048455176,
-            0.11883257631936914,
-            0.006403553241218395,
-        ],
-        total_eval=4000,
-        total_unchanged=294,
-        trace=[
-            (0, 783, 13071.964516124382, 4, 2),
-            (1, 963, 249.26052577725198, 4, 0),
-            (2, 1149, 150.90484209666522, 4, 2),
-            (3, 1337, 65.25477531834053, 4, 2),
-            (4, 1527, 64.22398305487314, 1, 1),
-            (5, 1717, 22.359224205173714, 1, 1),
-            (6, 1907, 12.171792671782907, 1, 1),
-            (7, 2096, 4.088387633412148, 1, 1),
-            (8, 2286, 2.403062240880847, 1, 1),
-            (9, 2466, 1.8174880009934058, 1, 1),
-            (10, 2650, 1.8062187115932904, 1, 1),
-            (11, 2830, 1.8062187115932904, 1, 1),
-            (12, 3010, 1.8062187115932904, 1, 1),
-            (13, 3190, 1.8062187115932904, 1, 1),
-            (14, 3370, 1.8062187115932904, 1, 1),
-            (15, 3550, 1.8062187115932904, 1, 1),
-            (16, 3730, 1.7978874196905124, 1, 1),
-            (17, 3910, 1.7978874196905124, 1, 1),
-            (18, 4000, 1.7978874196905124, 1, 1),
+            (0, 290, 226875.50975070384, 1, 1),
+            (1, 480, 196348.33395726793, 1, 1),
+            (2, 670, 176757.2349517557, 1, 1),
+            (3, 860, 148930.4186601715, 1, 1),
+            (4, 950, 143081.30170271883, 1, 1),
         ],
     ),
 ]

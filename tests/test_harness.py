@@ -98,8 +98,7 @@ class TestBuildParams:
     def test_accepted_keys(self):
         ga = {"pop_size", "p_c", "p_m", "n_elites", "sigma_m"}
         expected = {
-            "dpsea": ga | {"t_switch", "max_clusters", "radius_fraction", "kappa",
-                           "s_min", "regression_lambda"},
+            "dpsea": ga | {"t_switch", "regression_lambda"},
             "cga": ga,
             "de": {"pop_size", "cf", "f_scale"},
             "pso": {"pop_size", "w_start", "w_end", "phi_min", "phi_max"},
@@ -116,8 +115,8 @@ class TestBuildParams:
                 harness.build_params(algo, {key: 1})
 
     def test_post_init_errors_become_config_errors(self):
-        with pytest.raises(ConfigError, match="dpsea block: s_min"):
-            harness.build_params("dpsea", {"s_min": 1000})
+        with pytest.raises(ConfigError, match="dpsea block: t_switch"):
+            harness.build_params("dpsea", {"t_switch": 0})
 
 
 class TestSeeds:
@@ -469,7 +468,7 @@ class TestCli:
         {"dpsea": 5},
         {"dimension": 0},
         {"de": {"pop_size": 3}},
-        {"dpsea": {"s_min": 1000}},
+        {"dpsea": {"t_switch": 0}},
         {"dpsea": {"staleness_limit": 2}},
         {"de": {"f_scale": math.inf}},
         {"pso": {"w_start": math.nan}},
@@ -479,6 +478,7 @@ class TestCli:
         {"success": {"epsilon": {"sphere": math.nan}}},
         {"regression": {"lambda": 1e-4}},
         {"format": "yaml"},
+        {"dpsea": {"max_clusters": 4}},
     ])
     def test_malformed_value_exits_1_before_any_run(
         self, bad, tmp_path, capsys, monkeypatch

@@ -68,15 +68,26 @@ class TestDigests:
             "1 of 2 cases identical",
         ]
 
-    def test_quick_dpsea_cases_have_two_eligible_clusters(self):
-        # the digests cover eligibility only where more than one cluster
-        # competes for it
+    def test_quick_dpsea_cases_include_design_skipped_runs(self):
+        # every function has a quick case whose budget does not fit the
+        # initial design, which then charges only the first population
+        from dpsea import engine
+        from dpsea.benchmarks import NoiseModel, make_function
+        from dpsea.stochastics import Budget, RngState
+
         digests = load_tool("digests")
-        dpsea_cases = [c for c in digests.cases(full=False) if c["algo"] == "dpsea"]
-        assert len(dpsea_cases) == 42
-        for c in dpsea_cases:
-            res = digests.run_case(c)
-            assert any(r.n_eligible >= 2 for r in res.trace), c["name"]
+        skipped = set()
+        for c in digests.cases(full=False):
+            if c["algo"] != "dpsea":
+                continue
+            fn = make_function(c["function"], dimension=c["dimension"])
+            params = engine.DpseaParams(max_total_eval=c["budget"], rs_merge=c["rs"])
+            budget = Budget(pop_size=100, total_it=0, rs=c["rs"])
+            _, ys = engine.initial_design(fn, NoiseModel(0.0, c["sigma"]), params,
+                                          RngState(c["seed"]), budget)
+            if len(ys) == params.ga.pop_size:
+                skipped.add(c["function"])
+        assert skipped == set(digests.FUNCTIONS)
 
 
 class TestQuality:
@@ -91,7 +102,7 @@ class TestQuality:
                              "--quick", "--seeds", "4", "--functions",
                              "sphere,rosenbrock", "--sigmas", "0,0.5",
                              "--out", str(out)]) == 0
-        assert "0 of 4 cells with p < 0.0125" in capsys.readouterr().out
+        assert "0 of 4 cells worse and 0 better with p < 0.0125" in capsys.readouterr().out
         cells = json.loads(out.read_text())["cells"]
         assert [(c["function"], c["sigma"], c["budget"]) for c in cells] == [
             ("sphere", 0.0, 600), ("sphere", 0.5, 600),
@@ -99,7 +110,30 @@ class TestQuality:
         for c in cells:
             assert c["parent"] == c["change"]
             assert len(c["change"]["gaps"]) == 4
+            assert c["identical"] == 4
             assert c["u"] == 8.0 and c["p"] == 1.0
+
+    def shifted(self, shift, monkeypatch, capsys):
+        """Exit code and output of one 8-seed cell whose change gaps are the
+        parent's plus ``shift``."""
+        quality = load_tool("quality")
+        monkeypatch.setattr(quality, "side_gaps", lambda root, specs, side: [
+            k + (shift if side == "change" else 0.0) for k in range(len(specs))])
+        code = quality.main(["--parent", str(self.ROOT), "--change", str(self.ROOT),
+                             "--seeds", "8", "--functions", "sphere", "--sigmas", "0"])
+        return code, capsys.readouterr().out
+
+    def test_a_better_cell_is_reported_and_passes(self, monkeypatch, capsys):
+        code, out = self.shifted(-10.0, monkeypatch, capsys)
+        assert code == 0
+        assert out.splitlines()[1].endswith("  better")
+        assert "0 of 1 cells worse and 1 better" in out
+
+    def test_a_worse_cell_fails(self, monkeypatch, capsys):
+        code, out = self.shifted(10.0, monkeypatch, capsys)
+        assert code == 1
+        assert out.splitlines()[1].endswith("  worse")
+        assert "1 of 1 cells worse and 0 better" in out
 
     def test_mann_whitney_hand_case(self):
         # pooled 1 | 2 2 2 | 3 4 5 has ranks 1 | 3 3 3 | 5 6 7, so x = (1, 2, 2)

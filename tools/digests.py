@@ -9,13 +9,14 @@ A case's digest is the SHA-256 of its ``best_fitness``, ``best_genome``,
 Prints one line per case that differs and a count, and exits 1 if any case
 differs.
 
-``--quick`` (a few seconds per side) runs 42 DPSEA cases on 5-D versions of
-the four functions at sigma 0, 0.5 and 1: three multi-cluster settings on
-every function and the defaults on sphere and rastrigin1, each with cycles
-of two or more eligible clusters, plus small cGA, DE and PSO runs. The full
-mode adds the 20 noiseless sphere 90k runs of acceptance criterion 1 and
-the 30 sigma-1 sphere 90k runs of criterion 2, where estimates near 1e-20
-decide orderings; it took 75 s on a 2-core box.
+``--quick`` (a few seconds per side) runs 16 DPSEA cases: the defaults on
+5-D versions of the four functions at sigma 0, 0.5 and 1, and one case per
+function at rs = 5 whose budget does not fit the initial design (the
+functions' own dimensions, 10k evaluations, 2.9k on sphere), plus small
+cGA, DE and PSO runs. The full mode adds the 20 noiseless sphere 90k runs
+of acceptance criterion 1 and the 30 sigma-1 sphere 90k runs of criterion
+2, where estimates near 1e-20 decide orderings; it took 75 s on a 2-core
+box.
 """
 
 from __future__ import annotations
@@ -28,36 +29,30 @@ import subprocess
 import sys
 from pathlib import Path
 
-# (name, DpseaParams fields) of the quick set; the multi-cluster settings
-# keep several clusters, and eligible ones among them, alive for many cycles
-DPSEA_SETTINGS = (
-    ("r0.01m4", {"radius_fraction": 0.01, "max_clusters": 4}),
-    ("r0.02m6k1", {"radius_fraction": 0.02, "max_clusters": 6, "kappa": 1.0,
-                   "s_min": 2}),
-    ("r0.05k0.75", {"radius_fraction": 0.05, "kappa": 0.75, "s_min": 3}),
-)
+# budgets at rs = 5 that the initial design does not fit in, at each
+# function's own dimension
+DESIGN_SKIPPED_BUDGETS = {"sphere": 2_900, "griewank": 10_000, "rastrigin1": 10_000,
+                          "rosenbrock": 10_000}
 FUNCTIONS = ("sphere", "griewank", "rastrigin1", "rosenbrock")
 SIGMAS = (0.0, 0.5, 1.0)
 
 
-def case(algo, function, sigma, budget, seed, *, dimension=5, rs=1,
-         params=None, tag="default"):
-    name = f"{algo}-{function}-{dimension}d-sigma{sigma}-rs{rs}-{tag}-seed{seed}"
+def case(algo, function, sigma, budget, seed, *, dimension=5, rs=1, tag="default"):
+    """One run; ``dimension=None`` is the function's own."""
+    dim = f"{dimension}d" if dimension else "owndim"
+    name = f"{algo}-{function}-{dim}-sigma{sigma}-rs{rs}-{tag}-seed{seed}"
     return {"name": name, "algo": algo, "function": function,
             "dimension": dimension, "sigma": sigma, "rs": rs, "budget": budget,
-            "seed": seed, "params": params or {}}
+            "seed": seed}
 
 
 def cases(full):
     """Every case of the chosen mode, in a fixed order."""
-    out = []
-    for i, sigma in enumerate(SIGMAS):
-        for j, function in enumerate(FUNCTIONS):
-            for k, (tag, params) in enumerate(DPSEA_SETTINGS):
-                out.append(case("dpsea", function, sigma, 6000,
-                                1 + 100 * i + 10 * j + k, params=params, tag=tag))
-        for function in ("sphere", "rastrigin1"):
-            out.append(case("dpsea", function, sigma, 6000, 8 + i))
+    out = [case("dpsea", function, sigma, 6000, 8 + 3 * j + i)
+           for j, function in enumerate(FUNCTIONS) for i, sigma in enumerate(SIGMAS)]
+    out += [case("dpsea", function, 0.5, budget, 50 + j, dimension=None, rs=5,
+                 tag="skipdesign")
+            for j, (function, budget) in enumerate(DESIGN_SKIPPED_BUDGETS.items())]
     out += [
         case("cga", "griewank", 0.5, 5000, 1),
         case("cga", "sphere", 1.0, 5000, 2, rs=3),
@@ -83,8 +78,7 @@ def run_case(c):
     noise = NoiseModel(0.0, c["sigma"])
     rng = RngState(c["seed"])
     if c["algo"] == "dpsea":
-        params = engine.DpseaParams(max_total_eval=c["budget"], rs_merge=c["rs"],
-                                    **c["params"])
+        params = engine.DpseaParams(max_total_eval=c["budget"], rs_merge=c["rs"])
         return engine.run(fn, noise, params, rng)
     if c["algo"] == "cga":
         cfg = baselines.CgaConfig(ga=GaParams(), rs=c["rs"], total_eval=c["budget"])

@@ -16,11 +16,14 @@ is the published ``TABLE_BUDGETS["dpsea"]``; ``--quick`` runs 45k
 evaluations, 90k on sphere.
 
 Per cell and side it reports the count of runs with best - optimum at most
-``DEFAULT_EPSILON``, and the quartiles of best - optimum; per cell, the
-change's Mann-Whitney U against the parent and its two-sided p-value. Cells
-with p below 0.05 divided by the cell count are flagged, and the tool exits
-1 if any is. ``--out`` gets every gap, the tables and the environment
-(core count, Python, numpy and BLAS versions).
+``DEFAULT_EPSILON``, and the quartiles of best - optimum; per cell, how
+many seeds end at a bit-identical gap on both sides (a cell the initial
+design settles shows no change to the loop), and the change's Mann-Whitney
+U against the parent with its two-sided p-value. A cell with p below 0.05
+divided by the cell count is worse when U is above ``n1 * n2 / 2`` (the
+change's gaps tend larger), better otherwise; both are marked, and the
+tool exits 1 only if a cell is worse. ``--out`` gets every gap, the tables
+and the environment (core count, Python, numpy and BLAS versions).
 """
 
 from __future__ import annotations
@@ -136,8 +139,18 @@ def cells(specs, gaps, epsilon):
         out.append({"function": function, "sigma": sigma, "budget": cell["budget"],
                     "parent": describe(cell["parent"], epsilon[function]),
                     "change": describe(cell["change"], epsilon[function]),
+                    "identical": sum(a == b for a, b in zip(cell["parent"], cell["change"])),
                     "u": u, "p": p})
     return out
+
+
+def verdict(row, alpha):
+    """``"worse"`` or ``"better"`` for a cell with p below ``alpha``, else
+    ``None``; worse means the change's gaps tend larger."""
+    if row["p"] >= alpha:
+        return None
+    n1, n2 = len(row["change"]["gaps"]), len(row["parent"]["gaps"])
+    return "worse" if row["u"] > n1 * n2 / 2 else "better"
 
 
 def environment():
@@ -155,14 +168,14 @@ def environment():
 def table(rows, alpha):
     lines = [f"{'function':<11}{'sigma':>6}{'budget':>8}  {'ok':>7}  "
              f"{'parent q1 / median / q3':<32}{'change q1 / median / q3':<32}"
-             f"{'p':>8}"]
+             f"{'same':>5}{'p':>8}"]
     for r in rows:
         quart = lambda s: f"{s['q1']:.3g} / {s['median']:.3g} / {s['q3']:.3g}"
         ok = f"{r['parent']['successes']}:{r['change']['successes']}"
-        flag = "  *" if r["p"] < alpha else ""
+        flag = verdict(r, alpha)
         lines.append(f"{r['function']:<11}{r['sigma']:>6}{r['budget']:>8}  {ok:>7}  "
                      f"{quart(r['parent']):<32}{quart(r['change']):<32}"
-                     f"{r['p']:>8.3f}{flag}")
+                     f"{r['identical']:>5}{r['p']:>8.3f}" + (f"  {flag}" if flag else ""))
     return "\n".join(lines)
 
 
@@ -199,16 +212,18 @@ def main(argv=None):
             for side, root in (("parent", args.parent), ("change", args.change))}
     rows = cells(specs, gaps, harness.DEFAULT_EPSILON)
     alpha = LEVEL / len(rows)
-    flagged = [r for r in rows if r["p"] < alpha]
+    verdicts = [verdict(r, alpha) for r in rows]
     print(table(rows, alpha))
-    print(f"{len(flagged)} of {len(rows)} cells with p < {alpha:.3g} "
-          f"(ok: parent:change runs within DEFAULT_EPSILON of the optimum)")
+    print(f"{verdicts.count('worse')} of {len(rows)} cells worse and "
+          f"{verdicts.count('better')} better with p < {alpha:.3g} (ok: parent:change "
+          f"runs within DEFAULT_EPSILON of the optimum; same: seeds with an "
+          f"identical gap)")
     if args.out:
         args.out.write_text(json.dumps(
             {"env": environment(), "seeds": args.seeds, "base_seed": args.base_seed,
              "quick": args.quick,
              "alpha": alpha, "cells": rows}, indent=1) + "\n", encoding="utf-8")
-    return 1 if flagged else 0
+    return 1 if "worse" in verdicts else 0
 
 
 if __name__ == "__main__":
