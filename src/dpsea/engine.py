@@ -153,8 +153,9 @@ def adaptive_mutation_rate(rank_fraction, size, params):
     return np.clip(rate, 0.05, 1.0)
 
 
-def evolve_pseudo(pop, model, rates, fn, params, rng):
-    """One surrogate generation of the population; returns the next one.
+def evolve_pseudo(pop, model, rates, fn, params, rng, generations=1):
+    """``generations`` surrogate generations of the population, in one
+    ``Population.evolve`` call; returns the last one (``pop`` itself at 0).
 
     Offspring are scored by ``model`` and marked not ``sampled``; no true
     evaluation is made. ``rates`` is the mutation rate of each fitness rank
@@ -170,6 +171,7 @@ def evolve_pseudo(pop, model, rates, fn, params, rng):
         lambda xs: regression.predict_many(model, xs),
         sampled=False,
         mutation_rates=rates,
+        generations=generations,
     )
 
 
@@ -293,9 +295,9 @@ def run(fn, noise, params, rng):
     population before the main generation (the initial design's best, or
     the last merge) and that generation's offspring. The population then
     runs ``round(t_switch * max(0, fidelity))`` zero-cost surrogate
-    generations (``evolve_pseudo``, with the same absolute step), so a model
-    that ranks unseen points no better than chance gets none, and
-    ``merge_and_resample`` rescores it. Every cycle records one
+    generations (one ``evolve_pseudo`` call, with the same absolute step),
+    so a model that ranks unseen points no better than chance gets none,
+    and ``merge_and_resample`` rescores it. Every cycle records one
     pseudo-population, evolved. The returned best-ever solution is scored
     by the noiseless fitness, which ``resample_many`` computes anyway for
     every charged point and offers to ``Budget.best``. The run keeps
@@ -332,8 +334,8 @@ def run(fn, noise, params, rng):
         ys = np.concatenate([prev.fitness, pop.fitness[n_elites:]])
         kind = regression.select_kind(len(ys), fn.dimension)
         model, fidelity = regression.fit_rated(xs, ys, kind, params.regression_lambda)
-        for _ in range(round(params.t_switch * max(0.0, fidelity))):
-            pop = evolve_pseudo(pop, model, rates, fn, params, rng)
+        pop = evolve_pseudo(pop, model, rates, fn, params, rng,
+                            generations=round(params.t_switch * max(0.0, fidelity)))
 
         pop = merge_and_resample(pop, fn, noise, rng, budget, params)
         trace.append(CycleRecord(len(trace), budget.total_eval, budget.best.best_fitness,

@@ -1,6 +1,8 @@
-"""Real-coded GA generational step shared by the canonical-GA baseline and
+"""Real-coded GA generational steps shared by the canonical-GA baseline and
 the switching engine: elitism, binary tournament, whole-arithmetic
-crossover and Gaussian mutation, all drawn for a whole generation at once.
+crossover and Gaussian mutation, each drawn for a whole generation at once.
+One call runs one generation (the main population, the cGA) or all of a
+switching step's surrogate generations.
 
 A population is held as arrays, one row per individual (``Population``).
 An individual whose fitness came from an actual (resampled) evaluation has
@@ -85,22 +87,28 @@ class Population:
         keeps their fitness instead of resampling it."""
         return self.unchanged & self.sampled
 
-    def evolve(self, params, rng, bounds, score, *, sampled, mutation_rates=None):
-        """The next generation by ``evolve_generation``.
+    def evolve(self, params, rng, bounds, score, *, sampled, mutation_rates=None,
+               generations=1):
+        """The population after ``generations`` steps of ``evolve_generation``
+        (``generations=0`` returns the population itself).
 
-        Elites keep their ``sampled`` flag and are marked ``unchanged``;
-        offspring are marked ``sampled`` as given.
+        Elites copied from this population keep their ``sampled`` flag;
+        offspring, and elites born inside the call, are marked ``sampled`` as
+        given. The elites are marked ``unchanged``.
         """
-        genomes, fitness, elites = evolve_generation(
+        if generations == 0:
+            return self
+        genomes, fitness, source = evolve_generation(
             self.genomes, self.fitness, params, rng, bounds, score,
-            mutation_rates=mutation_rates,
+            mutation_rates=mutation_rates, generations=generations,
         )
-        n_off = len(fitness) - len(elites)
+        n_off = len(fitness) - len(source)
         return Population(
             genomes,
             fitness,
-            np.concatenate([self.sampled[elites], np.full(n_off, sampled)]),
-            np.arange(len(fitness)) < len(elites),
+            np.concatenate([np.where(source < 0, sampled, self.sampled[source]),
+                            np.full(n_off, sampled)]),
+            np.arange(len(fitness)) < len(source),
         )
 
 
@@ -108,69 +116,89 @@ _FIELDS = ("genomes", "fitness", "sampled", "unchanged")
 
 
 def evolve_generation(
-    genomes, fitness, params, rng, bounds, score, *, mutation_rates=None
+    genomes, fitness, params, rng, bounds, score, *, mutation_rates=None,
+    generations=1,
 ):
-    """One generational step: elitism, then tournament -> crossover -> mutation.
+    """``generations`` generational steps, each elitism, then tournament ->
+    crossover -> mutation.
 
     ``genomes`` is ``(pop_size, D)`` and ``fitness`` its ``(pop_size,)``
-    values. The top ``n_elites`` rows by fitness are copied verbatim, fitness
-    kept; the remaining rows are offspring from binary tournaments (ties to
-    the lower row), whole-arithmetic crossover and Gaussian mutation, scored
-    in one call ``score(children)`` on their ``(n_off, D)`` genomes.
-    ``mutation_rates`` optionally gives a mutation rate per fitness rank:
-    ``mutation_rates[k]`` belongs to the row ranked ``k`` by the stable sort
-    of ``fitness`` (0 the best), and each child of a pair takes the rate of
-    the parent in its slot. Without it every offspring mutates at ``p_m``.
-    Draws, in order: tournaments, crossover uniforms, a mask uniform per
-    offspring gene, then one N(0, sigma_m) step per mutated gene, row-major.
+    values. Per step, the top ``n_elites`` rows by the stable sort of fitness
+    are copied verbatim, fitness kept; the remaining rows are offspring from
+    binary tournaments (the lower rank wins, so ties go to the lower row),
+    whole-arithmetic crossover and Gaussian mutation, scored in one call
+    ``score(children)`` on their ``(n_off, D)`` genomes. ``mutation_rates``
+    optionally gives a mutation rate per fitness rank: ``mutation_rates[k]``
+    belongs to the row ranked ``k`` by the stable sort (0 the best), and each
+    child of a pair takes the rate of the parent in its slot. Without it
+    every offspring mutates at ``p_m``. Draws per step, in order: tournaments
+    (``integers``), crossover uniforms and alphas (two ``uniform``), a mask
+    ``uniform`` per offspring gene, then one N(0, sigma_m) step per mutated
+    gene, row-major (one ``normal``, none at ``sigma_m = 0``). A call with
+    ``generations=k`` makes exactly the draws, and gives exactly the bits,
+    of k calls with ``generations=1``, each fed the last one's output.
 
-    Returns ``(genomes, fitness, elites)``: the new generation, elites first,
-    and the input rows the elites were copied from.
+    Returns ``(genomes, fitness, source)``: the last generation, elites
+    first, and for each of its elites the input row it was copied from, or
+    -1 for an elite born inside the call.
     """
     n = len(fitness)
     if n != params.pop_size:
         raise ValueError(f"expected population of size {params.pop_size}, got {n}")
-    order = np.argsort(fitness, kind="stable")
-    elites = order[: params.n_elites]
-
-    n_off = n - params.n_elites
+    if generations < 1:
+        raise ValueError(f"generations must be >= 1, got {generations}")
+    n_elites = params.n_elites
+    n_off = n - n_elites
     n_pairs = (n_off + 1) // 2
-
-    # binary tournaments: (pair, parent slot, draw)
-    draws = rng.integers(0, n, (n_pairs, 2, 2))
-    a, b = draws[..., 0], draws[..., 1]
-    a_wins = (fitness[a] < fitness[b]) | ((fitness[a] == fitness[b]) & (a < b))
-    parents = np.where(a_wins, a, b)  # (n_pairs, 2)
-
-    u_cross = rng.uniform(size=n_pairs)
-    alphas = rng.uniform(size=n_pairs)
     d = genomes.shape[1]
-    pa = genomes[parents[:, 0]]
-    pb = genomes[parents[:, 1]]
-    al = alphas[:, None]
-    bl = 1 - al
-    crossed = u_cross[:, None] < params.p_c
+    step = math.sqrt(params.sigma_m)
+    rates = None if mutation_rates is None else np.asarray(mutation_rates, dtype=np.float64)
+
+    # buffers for the whole call; children are the first n_off rows of pairs
+    out_genomes = np.empty((n, d))
+    out_fitness = np.empty(n)
     pairs = np.empty((n_pairs, 2, d))
-    pairs[:, 0] = np.where(crossed, al * pa + bl * pb, pa)
-    pairs[:, 1] = np.where(crossed, bl * pa + al * pb, pb)
+    other = np.empty((n_pairs, 2, d))
     children = pairs.reshape(2 * n_pairs, d)[:n_off]
-    child_parents = parents.reshape(-1)[:n_off]
+    flat_children = pairs.reshape(-1)[: n_off * d]
+    rank = np.empty(n, dtype=np.intp)
+    ranks = np.arange(n)
+    source = np.arange(n)
 
-    if mutation_rates is None:
-        rates = params.p_m
-    else:
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-        rates = np.asarray(mutation_rates, dtype=np.float64)[rank[child_parents], None]
+    for _ in range(generations):
+        order = np.argsort(fitness, kind="stable")
+        rank[order] = ranks
+        elites = order[:n_elites]
 
-    mask = rng.uniform(size=(n_off, d)) < rates
-    if params.sigma_m > 0:
-        children[mask] += rng.normal(0.0, math.sqrt(params.sigma_m), mask.sum())
-    np.clip(children, bounds[0], bounds[1], out=children)
+        # binary tournaments: (pair, parent slot, draw); the lower rank wins
+        draws = rng.integers(0, n, (n_pairs, 2, 2))
+        won = np.minimum(rank[draws[..., 0]], rank[draws[..., 1]])  # (n_pairs, 2)
+        parents = genomes[order[won]]
 
-    scores = np.asarray(score(children), dtype=np.float64)
-    return (
-        np.concatenate([genomes[elites], children]),
-        np.concatenate([fitness[elites], scores]),
-        elites,
-    )
+        u_cross = rng.uniform(size=n_pairs)
+        alphas = rng.uniform(size=n_pairs)[:, None, None]
+        # slot 0 gets al*pa + bl*pb and slot 1 al*pb + bl*pa (= bl*pa + al*pb)
+        np.multiply(alphas, parents, out=pairs)
+        np.multiply(1 - alphas, parents[:, ::-1], out=other)
+        pairs += other
+        uncrossed = np.flatnonzero(u_cross >= params.p_c)
+        pairs[uncrossed] = parents[uncrossed]
+
+        mask_u = rng.uniform(size=(n_off, d))
+        if params.sigma_m > 0:
+            child_rates = params.p_m if rates is None else rates[won.reshape(-1)[:n_off], None]
+            mutated = (mask_u < child_rates).ravel().nonzero()[0]
+            flat_children[mutated] += rng.normal(0.0, step, mutated.size)
+        np.clip(children, bounds[0], bounds[1], out=children)
+
+        scores = score(children)
+        # the elites' rows are read before any row of out_genomes is written
+        out_genomes[:n_elites] = genomes[elites]
+        out_genomes[n_elites:] = children
+        out_fitness[:n_elites] = fitness[elites]
+        out_fitness[n_elites:] = scores
+        source[:n_elites] = source[elites]
+        source[n_elites:] = -1
+        genomes, fitness = out_genomes, out_fitness
+
+    return genomes, fitness, source[:n_elites]

@@ -40,6 +40,11 @@ class RngState:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, low=0.0, high=1.0, size=None):
+        # Generator.uniform returns low + (high - low) * random(), which on
+        # [0, 1) is random() itself, bit for bit, from the same draws
+        if isinstance(low, (int, float)) and isinstance(high, (int, float)) \
+                and low == 0 and high == 1:
+            return self._gen.random(size)
         return self._gen.uniform(low, high, size)
 
     def integers(self, low, high, size=None):

@@ -180,7 +180,7 @@ class TestEvolvePseudo:
         monkeypatch.setattr(regression, "fit", boom)
         monkeypatch.setattr(regression, "fit_rated", boom)
         pop = evolve_pseudo(pop, model, rates, fn, params, RngState(1))
-        evolve_pseudo(pop, model, rates, fn, params, RngState(2))
+        evolve_pseudo(pop, model, rates, fn, params, RngState(2), generations=5)
 
     def test_quadratic_model_with_ample_archive(self, monkeypatch):
         # a step's observations are the population and the main generation's
@@ -208,8 +208,10 @@ class TestEvolvePseudo:
 
 
 def spy_on_steps(monkeypatch, fidelity=None):
-    """Record each switching step of ``run`` as ``[fidelity, generations]``;
-    ``fidelity(step)``, when given, replaces the fit's."""
+    """Record each switching step of ``run`` as ``[fidelity, generations,
+    calls]``: the ``generations`` that its ``evolve_pseudo`` calls asked for,
+    and how many calls it made. ``fidelity(step)``, when given, replaces the
+    fit's."""
     steps = []
     real_fit, real_evolve = regression.fit_rated, engine.evolve_pseudo
 
@@ -217,12 +219,13 @@ def spy_on_steps(monkeypatch, fidelity=None):
         model, rho = real_fit(*args)
         if fidelity is not None:
             rho = fidelity(len(steps))
-        steps.append([rho, 0])
+        steps.append([rho, 0, 0])
         return model, rho
 
-    def evolve_pseudo(*args):
-        steps[-1][1] += 1
-        return real_evolve(*args)
+    def evolve_pseudo(*args, generations=1):
+        steps[-1][1] += generations
+        steps[-1][2] += 1
+        return real_evolve(*args, generations=generations)
 
     monkeypatch.setattr(regression, "fit_rated", fit_rated)
     monkeypatch.setattr(engine, "evolve_pseudo", evolve_pseudo)
@@ -237,7 +240,7 @@ class TestSurrogateGenerations:
         params = small_params(max_total_eval=3000)
         res = run(make_function("sphere"), NoiseModel(0.0, 0.0), params, RngState(2))
         assert len(steps) == len(res.trace) > 5
-        for rho, generations in steps:
+        for rho, generations, _ in steps:
             assert rho > 0.95
             assert generations == params.t_switch
 
@@ -248,8 +251,8 @@ class TestSurrogateGenerations:
         params = small_params(max_total_eval=3000)
         run(make_function("sphere"), NoiseModel(0.0, 1e4), params, RngState(2))
         assert len(steps) > 5
-        assert np.mean([rho for rho, _ in steps]) < 0.2
-        assert np.mean([g for _, g in steps]) < params.t_switch / 4
+        assert np.mean([rho for rho, _, _ in steps]) < 0.2
+        assert np.mean([g for _, g, _ in steps]) < params.t_switch / 4
 
     def test_scaling_and_rounding(self, monkeypatch):
         cases = ((-0.3, 0), (0.04, 0), (0.26, 3), (0.71, 7), (1.0, 10))
@@ -257,8 +260,9 @@ class TestSurrogateGenerations:
         params = small_params(t_switch=10, max_total_eval=3000)
         run(make_function("sphere"), NoiseModel(0.0, 0.5), params, RngState(3))
         assert len(steps) >= len(cases)
-        for k, (_, generations) in enumerate(steps):
+        for k, (_, generations, calls) in enumerate(steps):
             assert generations == cases[k % len(cases)][1]
+            assert calls == 1  # one call per step, zero generations included
 
 
 class TestMergeAndResample:

@@ -340,36 +340,15 @@ class TestEvolveGeneration:
         params = GaParams(pop_size=20, n_elites=4, p_c=0.6, p_m=0.4, sigma_m=0.25)
         fitness = np.array([3.0, 1.0, 3.0, 0.5, 2.0] * 4)
         table = np.linspace(0.05, 0.95, 20)
-        row_rate = [
-            table[sum((g, j) < (f, i) for j, g in enumerate(fitness))]
-            for i, f in enumerate(fitness)
-        ]
         rng = RecordingRng(8)
         genomes, _, _ = evolve_generation(
             self.genomes, fitness, params, rng, (-1.0, 1.0), self.sphere,
             mutation_rates=table,
         )
-        draws, u_cross, alphas, mask_u, normals = rng.draws
-        pop = [Individual(g, f) for g, f in zip(self.genomes, fitness)]
-        children = []
-        for k in range(len(u_cross)):
-            a, b = (
-                tournament_select(pop, 2, FakeRng(ints=draws[k, slot].tolist()))
-                for slot in range(2)
-            )
-            # each child of a pair mutates at the rate of the parent in its slot
-            rates = [row_rate[next(i for i, p in enumerate(pop) if p is q)] for q in (a, b)]
-            children += zip(arithmetic_crossover(
-                a, b, params.p_c, FakeRng(uniforms=[u_cross[k], alphas[k]])
-            ), rates)
-        child_rates = np.array([rate for _, rate in children])
-        steps = split_by_row(normals, mask_u < child_rates[:, None])
-        for j, (child, rate) in enumerate(children):
-            got = gaussian_mutate(
-                child, rate, params.sigma_m, (-1.0, 1.0),
-                FakeRng(uniforms=mask_u[j], normals=[steps[j]]),
-            )
-            assert np.array_equal(genomes[4 + j], got.genome)
+        want, _, _ = reference_generations(
+            self.genomes, fitness, params, rng.draws, (-1.0, 1.0), self.sphere, table, 1
+        )
+        assert np.array_equal(genomes, want)
 
     @pytest.mark.parametrize("p_m, sigma_m, table_rate", [
         (0.4, 0.25, None),
@@ -417,3 +396,139 @@ class TestEvolveGeneration:
         )
         assert not out.sampled[4:].any()
         assert out.sampled[:4].all()  # elites keep their flag
+
+
+def reference_generations(genomes, fitness, params, draws, bounds, score, table, generations):
+    """``generations`` steps through the scalar oracles, one row or pair at a
+    time, replaying recorded draws (a list in draw order) generation by
+    generation. Elites are the first ``n_elites`` rows by (fitness, row) and
+    each row's rate is the table entry of its rank, counted directly.
+    Returns the last ``(genomes, fitness)`` and, per elite, the input row it
+    was copied from or -1."""
+    draws = list(draws)
+    n = len(fitness)
+    n_off = n - params.n_elites
+    pop = [Individual(g, f) for g, f in zip(genomes, fitness)]
+    source = list(range(n))
+    for _ in range(generations):
+        ints, u_cross, alphas, mask_u = (draws.pop(0) for _ in range(4))
+        normals = draws.pop(0) if params.sigma_m > 0 else np.empty(0)
+        key = [(p.fitness_est, i) for i, p in enumerate(pop)]
+        elites = sorted(range(n), key=key.__getitem__)[: params.n_elites]
+        row_rate = [params.p_m if table is None else table[sum(k < key[i] for k in key)]
+                    for i in range(n)]
+        children = []
+        for k in range(len(u_cross)):
+            a, b = (
+                tournament_select(pop, 2, FakeRng(ints=ints[k, slot].tolist()))
+                for slot in range(2)
+            )
+            # each child of a pair mutates at the rate of the parent in its slot
+            rates = [row_rate[next(i for i, p in enumerate(pop) if p is q)] for q in (a, b)]
+            children += zip(arithmetic_crossover(
+                a, b, params.p_c, FakeRng(uniforms=[u_cross[k], alphas[k]])
+            ), rates)
+        children = children[:n_off]
+        child_rates = np.array([rate for _, rate in children])
+        steps = split_by_row(normals, mask_u < child_rates[:, None])
+        mutated = [
+            gaussian_mutate(child, rate, params.sigma_m, bounds,
+                            FakeRng(uniforms=mask_u[j], normals=[steps[j]])).genome
+            for j, (child, rate) in enumerate(children)
+        ]
+        scores = score(np.array(mutated).reshape(n_off, -1))
+        pop = [Individual(pop[i].genome, pop[i].fitness_est) for i in elites] + [
+            Individual(g, f) for g, f in zip(mutated, scores)
+        ]
+        source = [source[i] for i in elites] + [-1] * n_off
+    assert not draws
+    return (np.array([p.genome for p in pop]), np.array([p.fitness_est for p in pop]),
+            source[: params.n_elites])
+
+
+class TestGenerations:
+    """``generations=k`` against the per-row reference and against k calls of
+    ``generations=1``, bit for bit."""
+
+    def coarse_sphere(self, xs):
+        # rounded, so offspring tie with each other and with the input
+        return np.round(np.sum(xs * xs, axis=1), 1)
+
+    @pytest.mark.parametrize("pop_size, n_elites, p_c, sigma_m, table, k", [
+        (20, 4, 0.6, 0.25, True, 3),  # tied fitness, rank rates, uncrossed pairs
+        (20, 4, 0.6, 0.0, True, 3),  # no mutation step, no normal draw
+        (20, 0, 1.0, 0.25, False, 4),  # no elites
+        (21, 4, 1.0, 0.25, True, 3),  # odd offspring count
+        (1, 0, 0.6, 0.25, True, 3),  # one individual
+        (20, 4, 1.0, 0.25, False, 5),  # defaults but the population size
+    ])
+    def test_k_generations_match_reference_and_k_calls(
+        self, pop_size, n_elites, p_c, sigma_m, table, k
+    ):
+        params = GaParams(pop_size=pop_size, n_elites=n_elites, p_c=p_c, p_m=0.4,
+                          sigma_m=sigma_m)
+        genomes = RngState(1).uniform(-1, 1, (pop_size, 3))
+        fitness = np.resize([3.0, 1.0, 3.0, 0.5, 2.0], pop_size)
+        rates = np.linspace(0.05, 0.95, pop_size) if table else None
+        bounds = (-1.0, 1.0)
+
+        rng = RecordingRng(8)
+        got = evolve_generation(genomes, fitness, params, rng, bounds,
+                                self.coarse_sphere, mutation_rates=rates, generations=k)
+        per_generation = ["integers", "uniform", "uniform", "uniform"] + (
+            ["normal"] if sigma_m > 0 else [])
+        assert rng.calls == per_generation * k
+
+        want_genomes, want_fitness, want_source = reference_generations(
+            genomes, fitness, params, rng.draws, bounds, self.coarse_sphere, rates, k)
+        assert np.array_equal(got[0], want_genomes)
+        assert np.array_equal(got[1], want_fitness)
+        assert got[2].tolist() == want_source
+
+        one_rng = RecordingRng(8)
+        g, f, source = genomes, fitness, np.arange(pop_size)
+        for _ in range(k):
+            g, f, elites = evolve_generation(g, f, params, one_rng, bounds,
+                                             self.coarse_sphere, mutation_rates=rates)
+            source = np.concatenate([source[elites], np.full(pop_size - n_elites, -1)])
+        assert one_rng.calls == rng.calls
+        assert np.array_equal(g, got[0]) and np.array_equal(f, got[1])
+        assert np.array_equal(source[:n_elites], got[2])
+
+    def test_elite_provenance_sets_the_merge_exemption(self):
+        # rows 0 and 2 beat every child (offspring score >= 0) and stay elites
+        # for all 4 steps; the third elite is a child born inside the call
+        params = GaParams(pop_size=10, n_elites=3, sigma_m=0.25)
+        fitness = np.array([-5.0, 7.0, -4.0, 8.0, 9.0, 6.0, 5.0, 4.0, 3.0, 2.0])
+        sampled = np.array([True] * 2 + [False] + [True] * 7)
+        pop = Population(RngState(1).uniform(-1, 1, (10, 3)), fitness, sampled,
+                         np.zeros(10, dtype=bool))
+
+        def score(xs):
+            return np.sum(xs * xs, axis=1)
+
+        out = pop.evolve(params, RngState(4), (-1.0, 1.0), score, sampled=False,
+                         generations=4)
+        _, _, source = evolve_generation(pop.genomes, fitness, params, RngState(4),
+                                         (-1.0, 1.0), score, generations=4)
+        assert source.tolist() == [0, 2, -1]
+        assert out.unchanged.tolist() == [True] * 3 + [False] * 7
+        # carried from a sampled row: exempt; from an unsampled row or born
+        # inside the call: not
+        assert out.exempt.tolist() == [True] + [False] * 9
+        assert not out.sampled[2:].any()
+
+        chained, rng = pop, RngState(4)
+        for _ in range(4):
+            chained = chained.evolve(params, rng, (-1.0, 1.0), score, sampled=False)
+        for name in ("genomes", "fitness", "sampled", "unchanged"):
+            assert np.array_equal(getattr(chained, name), getattr(out, name))
+
+    def test_zero_generations_return_the_population(self):
+        pop = Population.new(np.zeros((4, 2)), np.arange(4.0), sampled=True)
+        params = GaParams(pop_size=4, n_elites=1)
+        assert pop.evolve(params, RngState(0), (-1.0, 1.0), None, sampled=False,
+                          generations=0) is pop
+        with pytest.raises(ValueError):
+            evolve_generation(pop.genomes, pop.fitness, params, RngState(0),
+                              (-1.0, 1.0), None, generations=0)

@@ -164,6 +164,19 @@ class TestRunExperiment:
         ]
         assert [r.seed for r in serial] == [r.seed for r in parallel]
 
+    def test_mixed_rs_parallel_matches_serial(self, monkeypatch):
+        cfg = tiny_config(rs_list=(1, 4, 2), repeats=1)
+        serial = run_experiment(cfg)
+        monkeypatch.setenv("DPSEA_THREADS", "2")
+        parallel = run_experiment(cfg)
+
+        def without_wall_time(r):
+            return {k: v for k, v in vars(r).items() if k != "wall_ms"}
+
+        assert [without_wall_time(r) for r in parallel] == [
+            without_wall_time(r) for r in serial
+        ]
+
     def test_worker_count_parsing(self, monkeypatch):
         for text, expected in (("", 0), ("0", 0), ("3", 3), (" 2 ", 2)):
             monkeypatch.setenv("DPSEA_THREADS", text)

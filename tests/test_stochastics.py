@@ -27,6 +27,51 @@ class TestRngState:
     def test_seed_masked_to_64_bits(self):
         assert RngState(1 << 70).seed == 0
 
+    @pytest.mark.parametrize("size", [None, 7, (3, 4)])
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (0, 1), (np.float64(0.0), 1.0)])
+    def test_unit_uniform_has_the_bits_of_generator_uniform(self, size, low, high):
+        # the [0, 1) fast path draws Generator.random: the same values, bit
+        # for bit, and the same state afterwards
+        rng, calls = spied_rng(5)
+        gen = np.random.Generator(np.random.PCG64(5))
+        got, want = rng.uniform(low, high, size), gen.uniform(low, high, size)
+        assert calls == ["random"]
+        assert type(got) is type(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64),
+                              np.asarray(want).view(np.uint64))
+        assert rng.uniform() == gen.uniform()
+
+    @pytest.mark.parametrize("low, high", [
+        (-2.0, 3.0),
+        (0.0, 2.0),
+        (np.zeros(3), np.ones(3)),  # array bounds never reach the scalar test
+        (0.0, np.array([1.0, 1.0, 1.0])),
+    ])
+    def test_other_ranges_go_through_generator_uniform(self, low, high):
+        rng, calls = spied_rng(5)
+        got = rng.uniform(low, high, 3)
+        want = np.random.Generator(np.random.PCG64(5)).uniform(low, high, 3)
+        assert calls == ["uniform"]
+        assert np.array_equal(got, want)
+
+
+def spied_rng(seed):
+    """An ``RngState`` whose generator records the name of each method
+    called on it."""
+    calls = []
+
+    class Spy:
+        def __init__(self):
+            self._gen = np.random.Generator(np.random.PCG64(seed))
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self._gen, name)
+
+    rng = RngState(seed)
+    rng._gen = Spy()
+    return rng, calls
+
 
 class TestBudget:
     def test_charge_and_skip_accumulate(self):
