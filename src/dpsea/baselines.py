@@ -129,7 +129,7 @@ def run_de(fn, noise, cfg, rng):
         r = _distinct_triples(n, rng)
         mutant = xs[r[:, 0]] + cfg.f_scale * (xs[r[:, 1]] - xs[r[:, 2]])
         mutant = np.clip(mutant, lo, hi)
-        cross = rng.uniform(size=(n, d)) < cfg.cf
+        cross = rng.random((n, d)) < cfg.cf
         forced = rng.integers(0, d, n)
         cross[np.arange(n), forced] = True
         trial = np.where(cross, mutant, xs)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -198,6 +199,8 @@ def main(argv=None):
         records = _read_records(args.in_dir, echo)
         opt_value = 0.0
         if epsilon is not None:
+            if not math.isfinite(epsilon):
+                raise ConfigError(f"--epsilon must be a finite number, got {epsilon}")
             _, opt_value = benchmarks.optimum(_recorded_function(args.in_dir, echo))
     except (ValueError, OSError) as exc:  # ConfigError and bad JSON included
         print(f"error: {exc}", file=sys.stderr)

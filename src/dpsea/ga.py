@@ -70,10 +70,6 @@ class Population:
         n = len(genomes)
         return cls(genomes, fitness, np.full(n, sampled), np.zeros(n, dtype=bool))
 
-    @classmethod
-    def concat(cls, parts):
-        return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in _FIELDS))
-
     def __len__(self):
         return len(self.fitness)
 
@@ -132,8 +128,8 @@ def evolve_generation(
     belongs to the row ranked ``k`` by the stable sort (0 the best), and each
     child of a pair takes the rate of the parent in its slot. Without it
     every offspring mutates at ``p_m``. Draws per step, in order: tournaments
-    (``integers``), crossover uniforms and alphas (two ``uniform``), a mask
-    ``uniform`` per offspring gene, then one N(0, sigma_m) step per mutated
+    (``integers``), crossover uniforms and alphas (two ``random``), a mask
+    ``random`` per offspring gene, then one N(0, sigma_m) step per mutated
     gene, row-major (one ``normal``, none at ``sigma_m = 0``). A call with
     ``generations=k`` makes exactly the draws, and gives exactly the bits,
     of k calls with ``generations=1``, each fed the last one's output.
@@ -175,8 +171,8 @@ def evolve_generation(
         won = np.minimum(rank[draws[..., 0]], rank[draws[..., 1]])  # (n_pairs, 2)
         parents = genomes[order[won]]
 
-        u_cross = rng.uniform(size=n_pairs)
-        alphas = rng.uniform(size=n_pairs)[:, None, None]
+        u_cross = rng.random(n_pairs)
+        alphas = rng.random(n_pairs)[:, None, None]
         # slot 0 gets al*pa + bl*pb and slot 1 al*pb + bl*pa (= bl*pa + al*pb)
         np.multiply(alphas, parents, out=pairs)
         np.multiply(1 - alphas, parents[:, ::-1], out=other)
@@ -184,7 +180,7 @@ def evolve_generation(
         uncrossed = np.flatnonzero(u_cross >= params.p_c)
         pairs[uncrossed] = parents[uncrossed]
 
-        mask_u = rng.uniform(size=(n_off, d))
+        mask_u = rng.random((n_off, d))
         if params.sigma_m > 0:
             child_rates = params.p_m if rates is None else rates[won.reshape(-1)[:n_off], None]
             mutated = (mask_u < child_rates).ravel().nonzero()[0]

@@ -9,6 +9,7 @@ are written atomically (temp file + rename).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -371,10 +372,17 @@ def _fmt(value):
 
 
 def _atomic_write(path, text):
+    """Write ``text`` to ``path`` through a temp file and a rename; when
+    either fails, the temp file is removed and the error raised."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def csv_text(cls, rows):

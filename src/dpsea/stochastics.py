@@ -1,9 +1,9 @@
 """Seeded randomness and budgeted resampled fitness.
 
-The generator is numpy's PCG64, wrapped so that every run owns a single
-stream. ``resample_many`` is the one path that adds Gaussian noise to true
-fitness, and the one place a run computes true fitness: it offers those
-values to the budget's best-so-far tracker.
+The generator is numpy's ``Generator`` on PCG64, and every run owns a
+single stream. ``resample_many`` is the one path that adds Gaussian noise
+to true fitness, and the one place a run computes true fitness: it offers
+those values to the budget's best-so-far tracker.
 """
 
 from __future__ import annotations
@@ -26,32 +26,21 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
-class RngState:
-    """Deterministic random source (PCG64).
+class RngState(np.random.Generator):
+    """Deterministic random source: numpy's ``Generator`` on ``PCG64`` seeded
+    with ``seed`` masked to 64 bits.
 
     Identical seeds give identical streams. Single-owner: never share one
     state across concurrent callers.
     """
 
-    __slots__ = ("seed", "_gen")
-
     def __init__(self, seed):
         self.seed = int(seed) & _MASK64
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        super().__init__(np.random.PCG64(self.seed))
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        # Generator.uniform returns low + (high - low) * random(), which on
-        # [0, 1) is random() itself, bit for bit, from the same draws
-        if isinstance(low, (int, float)) and isinstance(high, (int, float)) \
-                and low == 0 and high == 1:
-            return self._gen.random(size)
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low, high, size=None):
-        return self._gen.integers(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
+    def __reduce__(self):
+        # Generator.__setstate__ takes a bit generator's state dict
+        return RngState, (self.seed,), self.bit_generator.state
 
     def __repr__(self):
         return f"RngState(seed={self.seed})"

@@ -116,8 +116,8 @@ class RecordingRng:
     def integers(self, low, high, size=None):
         return self._keep("integers", self._rng.integers(low, high, size))
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._keep("uniform", self._rng.uniform(low, high, size))
+    def random(self, size=None):
+        return self._keep("random", self._rng.random(size))
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self._keep("normal", self._rng.normal(loc, scale, size))
@@ -365,7 +365,7 @@ class TestEvolveGeneration:
         rng = RecordingRng(9)
         evolve_generation(self.genomes, self.fitness, params, rng, (-1.0, 1.0),
                           self.sphere, mutation_rates=table)
-        mask_draws = ["integers", "uniform", "uniform", "uniform"]
+        mask_draws = ["integers", "random", "random", "random"]
         if sigma_m == 0:
             assert rng.calls == mask_draws
             return
@@ -475,7 +475,7 @@ class TestGenerations:
         rng = RecordingRng(8)
         got = evolve_generation(genomes, fitness, params, rng, bounds,
                                 self.coarse_sphere, mutation_rates=rates, generations=k)
-        per_generation = ["integers", "uniform", "uniform", "uniform"] + (
+        per_generation = ["integers", "random", "random", "random"] + (
             ["normal"] if sigma_m > 0 else [])
         assert rng.calls == per_generation * k
 

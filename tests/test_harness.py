@@ -646,6 +646,15 @@ class TestCli:
         assert code == 2
         assert "cannot write" in err
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
+        # summary.csv is a directory: its rename fails after the temp is written
+        out = tmp_path / "res"
+        (out / "summary.csv").mkdir(parents=True)
+        code, _, err = self.run_cli(self.base_args(str(out)), capsys)
+        assert code == 2
+        assert "cannot write" in err
+        assert sorted(os.listdir(out)) == ["runs.csv", "summary.csv"]
+
     def test_missing_seed_uses_entropy(self, tmp_path, capsys):
         out = str(tmp_path / "res")
         argv = [
@@ -680,6 +689,16 @@ class TestCli:
         )
         assert code == 0
         assert stdout.splitlines()[1].endswith(",100")
+
+    @pytest.mark.parametrize("flag", [["--epsilon", "nan"], ["--epsilon", "inf"],
+                                      ["--epsilon=-inf"]])
+    def test_success_non_finite_epsilon_exits_1(self, tmp_path, capsys, flag):
+        out = str(tmp_path / "res")
+        self.run_cli(self.base_args(out), capsys)
+        code, stdout, err = self.run_cli(["success", "--in", out, *flag], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [err.strip()]
+        assert "--epsilon must be a finite number" in err
 
     def test_success_epsilon_measures_against_the_runs_optimum(self, tmp_path, capsys):
         # 10-D rastrigin1 with constant 3.0 has its optimum at 3 - 100 = -97

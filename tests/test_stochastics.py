@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -27,50 +29,25 @@ class TestRngState:
     def test_seed_masked_to_64_bits(self):
         assert RngState(1 << 70).seed == 0
 
-    @pytest.mark.parametrize("size", [None, 7, (3, 4)])
-    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (0, 1), (np.float64(0.0), 1.0)])
-    def test_unit_uniform_has_the_bits_of_generator_uniform(self, size, low, high):
-        # the [0, 1) fast path draws Generator.random: the same values, bit
-        # for bit, and the same state afterwards
-        rng, calls = spied_rng(5)
-        gen = np.random.Generator(np.random.PCG64(5))
-        got, want = rng.uniform(low, high, size), gen.uniform(low, high, size)
-        assert calls == ["random"]
-        assert type(got) is type(want)
-        assert np.array_equal(np.asarray(got).view(np.uint64),
-                              np.asarray(want).view(np.uint64))
-        assert rng.uniform() == gen.uniform()
+    @pytest.mark.parametrize("seed", [0, -1, 2**70])
+    def test_is_the_generator_of_pcg64_on_the_masked_seed(self, seed):
+        rng = RngState(seed)
+        gen = np.random.Generator(np.random.PCG64(seed & (2**64 - 1)))
+        assert isinstance(rng, np.random.Generator)
+        for draw in (lambda g: g.random(5), lambda g: g.uniform(-2.0, 3.0, 4),
+                     lambda g: g.integers(0, 100, 6), lambda g: g.normal(1.0, 2.0, 3)):
+            assert np.array_equal(draw(rng), draw(gen))
+        assert rng.bit_generator.state == gen.bit_generator.state
 
-    @pytest.mark.parametrize("low, high", [
-        (-2.0, 3.0),
-        (0.0, 2.0),
-        (np.zeros(3), np.ones(3)),  # array bounds never reach the scalar test
-        (0.0, np.array([1.0, 1.0, 1.0])),
-    ])
-    def test_other_ranges_go_through_generator_uniform(self, low, high):
-        rng, calls = spied_rng(5)
-        got = rng.uniform(low, high, 3)
-        want = np.random.Generator(np.random.PCG64(5)).uniform(low, high, 3)
-        assert calls == ["uniform"]
-        assert np.array_equal(got, want)
-
-
-def spied_rng(seed):
-    """An ``RngState`` whose generator records the name of each method
-    called on it."""
-    calls = []
-
-    class Spy:
-        def __init__(self):
-            self._gen = np.random.Generator(np.random.PCG64(seed))
-
-        def __getattr__(self, name):
-            calls.append(name)
-            return getattr(self._gen, name)
-
-    rng = RngState(seed)
-    rng._gen = Spy()
-    return rng, calls
+    def test_pickle_round_trip_keeps_seed_and_position(self):
+        rng = RngState(-7)
+        rng.normal(size=5)
+        back = pickle.loads(pickle.dumps(rng))
+        assert type(back) is RngState
+        assert back.seed == rng.seed == 2**64 - 7
+        assert repr(back) == f"RngState(seed={2**64 - 7})"
+        assert np.array_equal(back.random(4), rng.random(4))
+        assert np.array_equal(back.integers(0, 9, 4), rng.integers(0, 9, 4))
 
 
 class TestBudget:

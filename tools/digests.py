@@ -68,24 +68,14 @@ def cases(full):
 
 
 def run_case(c):
-    """The ``RunResult`` of one case, from whichever ``dpsea`` is imported."""
-    from dpsea import baselines, engine
-    from dpsea.benchmarks import NoiseModel, make_function
-    from dpsea.ga import GaParams
-    from dpsea.stochastics import RngState
+    """The ``RunResult`` of one case, from whichever ``dpsea`` is imported:
+    one cell of a ``harness`` sweep."""
+    from dpsea import harness
 
-    fn = make_function(c["function"], dimension=c["dimension"])
-    noise = NoiseModel(0.0, c["sigma"])
-    rng = RngState(c["seed"])
-    if c["algo"] == "dpsea":
-        params = engine.DpseaParams(max_total_eval=c["budget"], rs_merge=c["rs"])
-        return engine.run(fn, noise, params, rng)
-    if c["algo"] == "cga":
-        cfg = baselines.CgaConfig(ga=GaParams(), rs=c["rs"], total_eval=c["budget"])
-        return baselines.run_cga(fn, noise, cfg, rng)
-    config = {"de": baselines.DeConfig, "pso": baselines.PsoConfig}[c["algo"]]
-    runner = {"de": baselines.run_de, "pso": baselines.run_pso}[c["algo"]]
-    return runner(fn, noise, config(rs=c["rs"], total_eval=c["budget"]), rng)
+    cfg = harness.ExperimentConfig(
+        function=c["function"], dimension=c["dimension"], sigmas=(c["sigma"],),
+        algo=c["algo"], rs_list=(c["rs"],), repeats=1, total_eval=c["budget"])
+    return harness.run_single(cfg, c["sigma"], c["rs"], c["seed"])[1]
 
 
 def digest(res):

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from digests import collect, start  # noqa: E402
+from digests import case, collect, run_case, start  # noqa: E402
 
 FUNCTIONS = ("sphere", "griewank", "rastrigin1", "rosenbrock")
 SIGMAS = (0.0, 0.5, 0.9)
@@ -75,25 +75,21 @@ def mann_whitney(x, y):
 
 
 def runs(functions, sigmas, seeds, quick, base_seed=0):
-    """One spec per run, cell by cell, reps in order."""
+    """One ``digests.case`` per run, cell by cell, reps in order."""
     from dpsea import harness
 
-    return [{"function": function, "sigma": sigma,
-             "budget": (QUICK_BUDGETS if quick else harness.TABLE_BUDGETS["dpsea"])[function],
-             "seed": harness.derive_seed(base_seed, harness.SIGMA_SWEEP.index(sigma), 0, rep)}
+    return [case("dpsea", function, sigma,
+                 (QUICK_BUDGETS if quick else harness.TABLE_BUDGETS["dpsea"])[function],
+                 harness.derive_seed(base_seed, harness.SIGMA_SWEEP.index(sigma), 0, rep),
+                 dimension=None)
             for function in functions for sigma in sigmas for rep in range(seeds)]
 
 
 def gap(spec):
     """Best - optimum of one DPSEA run, from whichever ``dpsea`` is imported."""
-    from dpsea import engine
-    from dpsea.benchmarks import NoiseModel, make_function, optimum
-    from dpsea.stochastics import RngState
+    from dpsea.benchmarks import make_function, optimum
 
-    fn = make_function(spec["function"])
-    params = engine.DpseaParams(max_total_eval=spec["budget"])
-    res = engine.run(fn, NoiseModel(0.0, spec["sigma"]), params, RngState(spec["seed"]))
-    return res.best_fitness - optimum(fn)[1]
+    return run_case(spec).best_fitness - optimum(make_function(spec["function"]))[1]
 
 
 def worker():
