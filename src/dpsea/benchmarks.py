@@ -17,6 +17,7 @@ __all__ = [
     "FUNCTION_IDS",
     "BenchmarkFunction",
     "NoiseModel",
+    "SIGMA_MAX",
     "make_function",
     "evaluate",
     "evaluate_many",
@@ -32,6 +33,13 @@ _DEFAULTS = {
 }
 
 FUNCTION_IDS = tuple(_DEFAULTS)
+
+# A noise draw is mu + sigma * z, and numpy's normal sampler never returns
+# |z| above 12.23 (its ziggurat takes a tail draw 3.654 + x only if x * x <
+# 2 * 53 * ln 2). With sigma * 12.3 at most the square root of the largest
+# float, resample means and the surrogate's sums and products over noisy
+# values stay finite; at sigma 1e306 the surrogate's coefficients overflowed.
+SIGMA_MAX = float(np.sqrt(np.finfo(np.float64).max)) / 12.3
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,8 @@ class NoiseModel:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and 0 <= self.sigma < np.inf):
-            raise ValueError(f"need a finite mu and a finite sigma >= 0, got {self}")
+        if not (np.isfinite(self.mu) and 0 <= self.sigma <= SIGMA_MAX):
+            raise ValueError(f"need a finite mu and 0 <= sigma <= SIGMA_MAX, got {self}")
 
 
 def make_function(name, dimension=None, rastrigin_constant=None):

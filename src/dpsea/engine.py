@@ -8,15 +8,15 @@ generation and that generation's offspring) and evolves the whole
 population as one pseudo-population on the surrogate's estimates, at zero
 evaluation cost, for as many generations (up to ``t_switch``) as the
 model's leave-one-out fidelity earns. ``merge_and_resample`` then restores
-true fitness by resampling. ``run`` ends when the next main generation or
-merge would overrun ``max_total_eval`` (``merge_and_resample`` then returns
-``None``).
+true fitness by resampling all but the measured elites. ``run`` ends when
+the next main generation or merge would overrun ``max_total_eval``
+(``merge_and_resample`` then returns ``None``).
 
 The paper splits the population into self-organized clusters, one
 pseudo-population per region. At this package's defaults the initial
 design starts every run inside one cluster radius, so ``run`` keeps one
 pseudo-population; ``self_organize`` remains as the library's partition.
-The population is a ``ga.Population`` of arrays.
+A population is two arrays, ``genomes`` and ``fitness``, as in ``ga``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _blas, regression
-from .ga import GaParams, Population
+from .ga import GaParams, evolve_generation
 from .regression import ModelKind
 from .results import CycleRecord, RunResult
 from .stochastics import Budget, check_budget, resample_many
@@ -46,11 +46,12 @@ __all__ = [
 
 @dataclass
 class PseudoPopulation:
-    """One cluster of a ``self_organize`` partition: ``members`` are copies
-    of the ``rows`` of the partitioned population, ``seed_index`` among
-    them; the seed is the cluster's best member."""
+    """One cluster of a ``self_organize`` partition: ``genomes`` and
+    ``fitness`` are copies of the ``rows`` of the partitioned population,
+    ``seed_index`` among them; the seed is the cluster's best member."""
 
-    members: Population
+    genomes: np.ndarray
+    fitness: np.ndarray
     rows: np.ndarray
     seed_index: int
 
@@ -86,7 +87,7 @@ def _domain_diagonal(fn):
     return math.sqrt(fn.dimension) * (fn.upper_bound - fn.lower_bound)
 
 
-def self_organize(pop, fn, radius_fraction=0.1, max_clusters=10):
+def self_organize(genomes, fitness, fn, radius_fraction=0.1, max_clusters=10):
     """Partition a population into disjoint clusters, greedy best-first.
 
     The best unassigned individual seeds a new cluster (up to
@@ -95,15 +96,14 @@ def self_organize(pop, fn, radius_fraction=0.1, max_clusters=10):
     nearest seed (ties to the lower seed index). Members keep population
     order, and the clusters come best seed first.
     """
-    n = len(pop)
+    n = len(fitness)
     if n == 0 or max_clusters < 1 or not radius_fraction >= 0:
         raise ValueError("need a nonempty population, max_clusters >= 1 "
                          "and radius_fraction >= 0")
-    genomes = pop.genomes
     radius = radius_fraction * _domain_diagonal(fn)
 
     label = np.full(n, -1)  # cluster of each individual, -1 unassigned
-    order = np.argsort(pop.fitness, kind="stable")
+    order = np.argsort(fitness, kind="stable")
     seeds = []
     while len(seeds) < max_clusters:
         free = order[label[order] < 0]
@@ -127,7 +127,7 @@ def self_organize(pop, fn, radius_fraction=0.1, max_clusters=10):
     clusters = []
     for k, seed in enumerate(seeds.tolist()):
         rows = np.flatnonzero(label == k)
-        clusters.append(PseudoPopulation(pop.take(rows), rows, seed))
+        clusters.append(PseudoPopulation(genomes[rows], fitness[rows], rows, seed))
     return clusters
 
 
@@ -153,47 +153,42 @@ def adaptive_mutation_rate(rank_fraction, size, params):
     return np.clip(rate, 0.05, 1.0)
 
 
-def evolve_pseudo(pop, model, rates, fn, params, rng, generations=1):
-    """``generations`` surrogate generations of the population, in one
-    ``Population.evolve`` call; returns the last one (``pop`` itself at 0).
+def evolve_pseudo(genomes, fitness, model, rates, fn, params, rng, generations=1):
+    """``generations`` (at least 1) surrogate generations of the population,
+    in one ``evolve_generation`` call; returns its ``(genomes, fitness,
+    source)``.
 
-    Offspring are scored by ``model`` and marked not ``sampled``; no true
-    evaluation is made. ``rates`` is the mutation rate of each fitness rank
-    (``run`` takes it from ``adaptive_mutation_rate`` once per run); the
-    rates set how many genes mutate, and the step itself is the absolute
-    ``sqrt(ga.sigma_m)`` of ``GaParams``. Elitism keeps the best members by
-    fitness, which mixes measured and estimated values.
+    Offspring are scored by ``model``; no true evaluation is made. ``rates``
+    is the mutation rate of each fitness rank (``run`` takes it from
+    ``adaptive_mutation_rate`` once per run); the rates set how many genes
+    mutate, and the step itself is the absolute ``sqrt(ga.sigma_m)`` of
+    ``GaParams``. Elitism keeps the best members by fitness, which mixes
+    measured and estimated values.
     """
-    return pop.evolve(
-        params.ga,
-        rng,
-        fn.bounds,
-        lambda xs: regression.predict_many(model, xs),
-        sampled=False,
-        mutation_rates=rates,
-        generations=generations,
-    )
+    return evolve_generation(genomes, fitness, params.ga, rng, fn.bounds,
+                             lambda xs: regression.predict_many(model, xs),
+                             mutation_rates=rates, generations=generations)
 
 
-def merge_and_resample(pop, fn, noise, rng, budget, params):
+def merge_and_resample(genomes, fitness, source, fn, noise, rng, budget, params):
     """Refresh the population's fitness with true resampling, in place.
 
-    Every member is scored by ``rs_merge``-fold resampled true fitness
-    except the ``exempt`` elites (``unchanged and sampled``), which keep
-    their fitness and accrue ``total_unchanged``; only the rescored rows
-    reach the budget's best-so-far tracker, the exempt ones having reached
-    it when they were last evaluated. Returns ``pop``, or ``None`` when the
-    scoring would overrun ``max_total_eval``, charging nothing.
+    Every row is scored by ``rs_merge``-fold resampled true fitness except
+    the elites that the last GA call copied from an input row (``source >=
+    0`` in what it returned), which keep their measured fitness and accrue
+    ``total_unchanged``; only the rescored rows reach the budget's
+    best-so-far tracker. Returns ``fitness``, or ``None`` when the scoring
+    would overrun ``max_total_eval``, charging nothing.
     """
     rs = params.rs_merge
-    to_eval = np.flatnonzero(~pop.exempt)
+    kept = np.zeros(len(fitness), dtype=bool)
+    kept[: len(source)] = source >= 0
+    to_eval = np.flatnonzero(~kept)
     if budget.total_eval + len(to_eval) * rs > params.max_total_eval:
         return None
-    budget.skip((len(pop) - len(to_eval)) * rs)
-    pop.fitness[to_eval] = resample_many(fn, pop.genomes[to_eval], rs, noise, rng, budget)
-    pop.sampled[to_eval] = True
-    pop.unchanged[to_eval] = False
-    return pop
+    budget.skip((len(fitness) - len(to_eval)) * rs)
+    fitness[to_eval] = resample_many(fn, genomes[to_eval], rs, noise, rng, budget)
+    return fitness
 
 
 def _coordinate_sweep(fn, x, fx, noise, params, rng, budget):
@@ -295,9 +290,10 @@ def run(fn, noise, params, rng):
     population before the main generation (the initial design's best, or
     the last merge) and that generation's offspring. The population then
     runs ``round(t_switch * max(0, fidelity))`` zero-cost surrogate
-    generations (one ``evolve_pseudo`` call, with the same absolute step),
-    so a model that ranks unseen points no better than chance gets none,
-    and ``merge_and_resample`` rescores it. Every cycle records one
+    generations (one ``evolve_pseudo`` call if any, with the same absolute
+    step), so a model that ranks unseen points no better than chance gets
+    none. ``merge_and_resample`` rescores all but the elites that the last
+    GA call copied from its (measured) input. Every cycle records one
     pseudo-population, evolved. The returned best-ever solution is scored
     by the noiseless fitness, which ``resample_many`` computes anyway for
     every charged point and offers to ``Budget.best``. The run keeps
@@ -310,34 +306,32 @@ def run(fn, noise, params, rng):
 
     design_x, design_y = initial_design(fn, noise, params, rng, budget)
     keep = np.argsort(design_y, kind="stable")[:n]
-    pop = Population.new(design_x[keep], design_y[keep], sampled=True)
+    genomes, fitness = design_x[keep], design_y[keep]
     rates = adaptive_mutation_rate(np.arange(n) / (n - 1) if n > 1 else np.zeros(1),
                                    n, params)
 
     trace = []
     n_elites = params.ga.n_elites
     main_cost = (n - n_elites) * rs
-    # a merge over the cap gives no population and ends the run
-    while pop is not None and budget.total_eval + main_cost <= params.max_total_eval:
+    # a merge over the cap gives no fitness and ends the run
+    while fitness is not None and budget.total_eval + main_cost <= params.max_total_eval:
         # main-population generation on resampled true fitness
-        prev = pop
-        pop = pop.evolve(
-            params.ga,
-            rng,
-            fn.bounds,
-            lambda xs: resample_many(fn, xs, rs, noise, rng, budget),
-            sampled=True,
-        )
+        prev_genomes, prev_fitness = genomes, fitness
+        genomes, fitness, source = evolve_generation(
+            genomes, fitness, params.ga, rng, fn.bounds,
+            lambda xs: resample_many(fn, xs, rs, noise, rng, budget))
         budget.skip(n_elites * rs)
 
-        xs = np.concatenate([prev.genomes, pop.genomes[n_elites:]])
-        ys = np.concatenate([prev.fitness, pop.fitness[n_elites:]])
+        xs = np.concatenate([prev_genomes, genomes[n_elites:]])
+        ys = np.concatenate([prev_fitness, fitness[n_elites:]])
         kind = regression.select_kind(len(ys), fn.dimension)
         model, fidelity = regression.fit_rated(xs, ys, kind, params.regression_lambda)
-        pop = evolve_pseudo(pop, model, rates, fn, params, rng,
-                            generations=round(params.t_switch * max(0.0, fidelity)))
+        generations = round(params.t_switch * max(0.0, fidelity))
+        if generations:
+            genomes, fitness, source = evolve_pseudo(genomes, fitness, model, rates, fn,
+                                                     params, rng, generations)
 
-        pop = merge_and_resample(pop, fn, noise, rng, budget, params)
+        fitness = merge_and_resample(genomes, fitness, source, fn, noise, rng, budget, params)
         trace.append(CycleRecord(len(trace), budget.total_eval, budget.best.best_fitness,
                                  n_clusters=1, n_eligible=1))
 

@@ -4,9 +4,9 @@ crossover and Gaussian mutation, each drawn for a whole generation at once.
 One call runs one generation (the main population, the cGA) or all of a
 switching step's surrogate generations.
 
-A population is held as arrays, one row per individual (``Population``).
-An individual whose fitness came from an actual (resampled) evaluation has
-``sampled`` set; elites copied without re-evaluation have ``unchanged`` set.
+A population is two arrays, ``genomes`` (one row per individual) and
+``fitness``. Each call also returns the input row each elite was copied
+from, which tells the switching engine's merge what is still measured.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Population", "GaParams", "evolve_generation"]
+__all__ = ["GaParams", "evolve_generation"]
 
 
 @dataclass(frozen=True)
@@ -48,67 +48,6 @@ class GaParams:
             raise ValueError("n_elites must satisfy 0 <= n_elites < pop_size")
         if not 0.0 <= self.sigma_m < math.inf:
             raise ValueError("sigma_m must be finite and nonnegative")
-
-
-@dataclass
-class Population:
-    """Individuals as arrays, one row each.
-
-    ``genomes`` is ``(n, D)``; ``fitness`` holds each individual's latest
-    fitness, measured where ``sampled`` is set and a surrogate's estimate
-    elsewhere; ``unchanged`` marks elites copied without re-evaluation.
-    """
-
-    genomes: np.ndarray
-    fitness: np.ndarray
-    sampled: np.ndarray
-    unchanged: np.ndarray
-
-    @classmethod
-    def new(cls, genomes, fitness, sampled):
-        """Fresh individuals, none of them elites."""
-        n = len(genomes)
-        return cls(genomes, fitness, np.full(n, sampled), np.zeros(n, dtype=bool))
-
-    def __len__(self):
-        return len(self.fitness)
-
-    def take(self, rows):
-        """The individuals at ``rows``, as copies."""
-        return Population(*(getattr(self, f)[rows] for f in _FIELDS))
-
-    @property
-    def exempt(self):
-        """Elites unchanged since their last actual evaluation: a merge
-        keeps their fitness instead of resampling it."""
-        return self.unchanged & self.sampled
-
-    def evolve(self, params, rng, bounds, score, *, sampled, mutation_rates=None,
-               generations=1):
-        """The population after ``generations`` steps of ``evolve_generation``
-        (``generations=0`` returns the population itself).
-
-        Elites copied from this population keep their ``sampled`` flag;
-        offspring, and elites born inside the call, are marked ``sampled`` as
-        given. The elites are marked ``unchanged``.
-        """
-        if generations == 0:
-            return self
-        genomes, fitness, source = evolve_generation(
-            self.genomes, self.fitness, params, rng, bounds, score,
-            mutation_rates=mutation_rates, generations=generations,
-        )
-        n_off = len(fitness) - len(source)
-        return Population(
-            genomes,
-            fitness,
-            np.concatenate([np.where(source < 0, sampled, self.sampled[source]),
-                            np.full(n_off, sampled)]),
-            np.arange(len(fitness)) < len(source),
-        )
-
-
-_FIELDS = ("genomes", "fitness", "sampled", "unchanged")
 
 
 def evolve_generation(

@@ -113,8 +113,8 @@ _RULES = {
                  lambda v: v in benchmarks.FUNCTION_IDS),
     "dimension": ("null or an integer", lambda v: v is None or _is_int(v)),
     "noisy": ("true or false", lambda v: isinstance(v, bool)),
-    "sigmas": ("a nonempty list of finite numbers >= 0",
-               _list_of(lambda v: _is_finite(v) and v >= 0)),
+    "sigmas": (f"a nonempty list of finite numbers in [0, {benchmarks.SIGMA_MAX:.3g}]",
+               _list_of(lambda v: _is_finite(v) and 0 <= v <= benchmarks.SIGMA_MAX)),
     "algo": (f"one of {ALGOS}", lambda v: v in ALGOS),
     "rs_list": ("a nonempty list of integers >= 1",
                 _list_of(lambda v: _is_int(v) and v >= 1)),
@@ -414,7 +414,11 @@ def emit(records, summaries, fmt, out_dir):
 
 
 # RunRecord field type (an annotation string) -> parser of its CSV text
-_PARSE = {"str": str, "int": int, "float": float, "bool": lambda t: t == "true"}
+_PARSE = {"str": str, "int": int, "float": float,
+          "bool": lambda t: {"true": True, "false": False}[t]}
+
+# RunRecord field type -> the exact types of its runs.json value (a bool is not an int)
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 def parse_runs_csv(path):
@@ -427,9 +431,17 @@ def parse_runs_csv(path):
         ]
 
 
+def _json_field(row, f):
+    value = row[f.name]
+    if type(value) not in _JSON_TYPES[f.type]:
+        raise TypeError(f"{f.name} = {value!r}, not a {f.type}")
+    return float(value) if f.type == "float" else value
+
+
 def parse_runs_json(path):
-    """Read runs.json back into RunRecord objects (round-trip of emit)."""
+    """Read runs.json back into RunRecord objects (round-trip of emit); a
+    value not of its field's type raises ``TypeError``."""
     with open(path, encoding="utf-8") as fh:
         rows = json.load(fh)
-    return [RunRecord(**{f.name: row[f.name] for f in fields(RunRecord)})
+    return [RunRecord(**{f.name: _json_field(row, f) for f in fields(RunRecord)})
             for row in rows]

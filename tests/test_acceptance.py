@@ -21,7 +21,6 @@ from dpsea.benchmarks import (
     optimum,
 )
 from dpsea.engine import DpseaParams, self_organize
-from dpsea.ga import Population
 from dpsea.regression import ModelKind, fit
 from dpsea.stochastics import Budget, RngState, resampled_fitness
 
@@ -166,24 +165,24 @@ def test_criterion_6_clustering_laws():
     for _ in range(1000):
         n = int(rng.integers(1, 31))
         fits = rng.normal(size=n)
-        pop = Population.new(rng.uniform(-100, 100, (n, 3)), fits, sampled=True)
-        clusters = self_organize(pop, fn, radius_fraction=0.1, max_clusters=10)
+        genomes = rng.uniform(-100, 100, (n, 3))
+        clusters = self_organize(genomes, fits, fn, radius_fraction=0.1, max_clusters=10)
         rows = [int(i) for c in clusters for i in c.rows]
         assert len(rows) == n and len(set(rows)) == n  # disjoint cover
         for c in clusters:
-            assert np.array_equal(c.members.genomes, pop.genomes[c.rows])
+            assert np.array_equal(c.genomes, genomes[c.rows])
 
-    pop = Population.new(
-        rng.uniform(-100, 100, (30, 3)), np.arange(30.0), sampled=True
-    )
-    assert len(self_organize(pop, fn, radius_fraction=1.0, max_clusters=10)) == 1
+    genomes = rng.uniform(-100, 100, (30, 3))
+    assert len(self_organize(genomes, np.arange(30.0), fn, radius_fraction=1.0,
+                             max_clusters=10)) == 1
 
     # two tight blobs must be recovered exactly
     fn2 = make_function("sphere", dimension=2)
     blob_a = np.full((5, 2), -80.0) + rng.normal(0, 0.5, (5, 2))
     blob_b = np.full((5, 2), 80.0) + rng.normal(0, 0.5, (5, 2))
-    pop = Population.new(np.vstack([blob_a, blob_b]), np.arange(10.0), sampled=True)
-    clusters = self_organize(pop, fn2, radius_fraction=0.1, max_clusters=10)
+    genomes = np.vstack([blob_a, blob_b])
+    clusters = self_organize(genomes, np.arange(10.0), fn2, radius_fraction=0.1,
+                             max_clusters=10)
     assert len(clusters) == 2
     got = sorted(tuple(c.rows.tolist()) for c in clusters)
     assert got == [tuple(range(5)), tuple(range(5, 10))]

@@ -3,6 +3,7 @@ import pytest
 
 from dpsea.benchmarks import (
     FUNCTION_IDS,
+    SIGMA_MAX,
     NoiseModel,
     evaluate,
     evaluate_many,
@@ -151,6 +152,13 @@ class TestNoisyEvaluate:
     def test_non_finite_noise_rejected(self, mu, sigma):
         with pytest.raises(ValueError, match="finite"):
             NoiseModel(mu, sigma)
+
+    def test_sigma_above_the_bound_rejected(self):
+        # 1e308 times a normal draw overflowed; the bound itself is accepted
+        assert NoiseModel(0.0, SIGMA_MAX).sigma == SIGMA_MAX
+        for sigma in (1e308, np.nextafter(SIGMA_MAX, np.inf)):
+            with pytest.raises(ValueError, match="SIGMA_MAX"):
+                NoiseModel(0.0, sigma)
 
     def test_sample_mean_converges(self):
         # |mean - f(x)| < 4 sigma / sqrt(n) in >= 99% of repeated trials

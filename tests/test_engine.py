@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpsea import engine, regression
-from dpsea.benchmarks import NoiseModel, evaluate_many, make_function
+from dpsea.benchmarks import SIGMA_MAX, NoiseModel, evaluate_many, make_function
 from dpsea.engine import (
     DpseaParams,
     _coordinate_sweep,
@@ -13,7 +13,7 @@ from dpsea.engine import (
     run,
     self_organize,
 )
-from dpsea.ga import GaParams, Population
+from dpsea.ga import GaParams
 from dpsea.regression import ModelKind
 from dpsea.stochastics import Budget, RngState
 
@@ -23,11 +23,12 @@ def small_params(**kwargs):
     return DpseaParams(ga=ga, **kwargs)
 
 
-def make_pop(genomes, fits=None, sampled=True):
+def make_pop(genomes, fits=None):
+    """``(genomes, fitness)`` as float arrays; fitness 0, 1, ... by default."""
     genomes = np.array(genomes, float)
     if fits is None:
         fits = np.arange(len(genomes), dtype=float)
-    return Population.new(genomes, np.array(fits, float), sampled=sampled)
+    return genomes, np.array(fits, float)
 
 
 def member_rows(clusters):
@@ -42,20 +43,21 @@ class TestSelfOrganize:
             n = int(rng.integers(1, 31))
             genomes = rng.uniform(-100, 100, (n, 3))
             pop = make_pop(genomes, rng.normal(size=n))
-            clusters = self_organize(pop, fn)
+            clusters = self_organize(*pop, fn)
             seen = member_rows(clusters)
             assert len(seen) == n
             assert len(set(seen)) == n
             for c in clusters:
-                assert np.array_equal(c.members.genomes, genomes[c.rows])
+                assert np.array_equal(c.genomes, genomes[c.rows])
+                assert np.array_equal(c.fitness, pop[1][c.rows])
 
     def test_radius_one_gives_single_cluster(self):
         fn = make_function("sphere", dimension=3)
         rng = np.random.default_rng(1)
         pop = make_pop(rng.uniform(-100, 100, (20, 3)))
-        clusters = self_organize(pop, fn, radius_fraction=1.0)
+        clusters = self_organize(*pop, fn, radius_fraction=1.0)
         assert len(clusters) == 1
-        assert len(clusters[0].members) == 20
+        assert len(clusters[0].rows) == len(clusters[0].fitness) == 20
 
     def test_two_blob_oracle_partition(self):
         # two tight blobs in opposite corners: greedy seeding must recover
@@ -67,7 +69,7 @@ class TestSelfOrganize:
         genomes = np.vstack([blob_a, blob_b])
         fits = [3.0, 4.0, 5.0, 6.0, 7.0, 0.0, 1.0, 2.0, 8.0, 9.0]
         pop = make_pop(genomes, fits)
-        clusters = self_organize(pop, fn, radius_fraction=0.1)
+        clusters = self_organize(*pop, fn, radius_fraction=0.1)
         assert len(clusters) == 2
         # seed of the first cluster is the global best (index 5, blob b)
         assert clusters[0].seed_index == 5
@@ -79,9 +81,9 @@ class TestSelfOrganize:
         # points at 0, 1, 50, 51, 100; radius = 0.01 * 200 = 2
         genomes = np.array([[0.0], [1.0], [50.0], [51.0], [100.0]])
         pop = make_pop(genomes, [0.0, 1.0, 2.0, 3.0, 4.0])
-        clusters = self_organize(pop, fn, radius_fraction=0.01, max_clusters=2)
+        clusters = self_organize(*pop, fn, radius_fraction=0.01, max_clusters=2)
         assert len(clusters) == 2
-        sizes = sorted(len(c.members) for c in clusters)
+        sizes = sorted(len(c.rows) for c in clusters)
         # 100 is a leftover and joins its nearest seed (50)
         assert sizes == [2, 3]
 
@@ -90,18 +92,18 @@ class TestSelfOrganize:
         # row 2 seeds the first cluster, row 0 the second; row 1 lies 10
         # from both seeds and joins row 0, the seed with the lower index
         pop = make_pop([[-10.0], [0.0], [10.0]], [1.0, 5.0, 0.0])
-        clusters = self_organize(pop, fn, radius_fraction=0.01, max_clusters=2)
+        clusters = self_organize(*pop, fn, radius_fraction=0.01, max_clusters=2)
         assert [c.seed_index for c in clusters] == [2, 0]
         assert [c.rows.tolist() for c in clusters] == [[2], [0, 1]]
 
     def test_empty_population_rejected(self):
         fn = make_function("sphere", dimension=2)
         with pytest.raises(ValueError):
-            self_organize(make_pop(np.empty((0, 2))), fn)
+            self_organize(*make_pop(np.empty((0, 2))), fn)
         with pytest.raises(ValueError):
-            self_organize(make_pop(np.zeros((3, 2))), fn, max_clusters=0)
+            self_organize(*make_pop(np.zeros((3, 2))), fn, max_clusters=0)
         with pytest.raises(ValueError):
-            self_organize(make_pop(np.zeros((3, 2))), fn, radius_fraction=-0.1)
+            self_organize(*make_pop(np.zeros((3, 2))), fn, radius_fraction=-0.1)
 
 
 class TestAdaptiveMutationRate:
@@ -135,7 +137,7 @@ def fitted_population(fn, params, n=8):
     genomes = rng.uniform(-2, 2, (n, fn.dimension))
     pop = make_pop(genomes, np.sum(genomes**2, axis=1))
     kind = regression.select_kind(n, fn.dimension)
-    model, _ = regression.fit_rated(pop.genomes, pop.fitness, kind, params.regression_lambda)
+    model, _ = regression.fit_rated(*pop, kind, params.regression_lambda)
     fracs = np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
     return pop, model, adaptive_mutation_rate(fracs, n, params)
 
@@ -153,20 +155,23 @@ class TestEvolvePseudo:
 
         monkeypatch.setattr(bm, "evaluate", boom)
         monkeypatch.setattr(bm, "evaluate_many", boom)
-        evolve_pseudo(pop, model, rates, fn, params, RngState(1))
+        evolve_pseudo(*pop, model, rates, fn, params, RngState(1))
 
     def test_offspring_scored_by_model(self):
         fn = make_function("sphere", dimension=2)
         params = small_params(ga=GaParams(pop_size=8, n_elites=2))
         pop, model, rates = fitted_population(fn, params)
-        m = evolve_pseudo(pop, model, rates, fn, params, RngState(1))
+        genomes, fitness, source = evolve_pseudo(*pop, model, rates, fn, params,
+                                                 RngState(1))
         from dpsea.regression import predict
 
-        for i in np.flatnonzero(~m.unchanged):
-            assert m.fitness[i] == pytest.approx(predict(model, m.genomes[i]))
-            assert not m.sampled[i]
-        # the elites keep their measured fitness
-        assert m.unchanged.sum() == 2 and m.sampled[m.unchanged].all()
+        for i in range(2, 8):
+            assert fitness[i] == pytest.approx(predict(model, genomes[i]))
+        # after one generation both elites are input rows and keep their
+        # measured fitness
+        assert len(source) == 2 and (source >= 0).all()
+        assert np.array_equal(fitness[:2], pop[1][source])
+        assert np.array_equal(genomes[:2], pop[0][source])
 
     def test_model_fit_cached_between_generations(self, monkeypatch):
         # run fits once per switching step; the generations only predict
@@ -179,8 +184,9 @@ class TestEvolvePseudo:
 
         monkeypatch.setattr(regression, "fit", boom)
         monkeypatch.setattr(regression, "fit_rated", boom)
-        pop = evolve_pseudo(pop, model, rates, fn, params, RngState(1))
-        evolve_pseudo(pop, model, rates, fn, params, RngState(2), generations=5)
+        genomes, fitness, _ = evolve_pseudo(*pop, model, rates, fn, params, RngState(1))
+        evolve_pseudo(genomes, fitness, model, rates, fn, params, RngState(2),
+                      generations=5)
 
     def test_quadratic_model_with_ample_archive(self, monkeypatch):
         # a step's observations are the population and the main generation's
@@ -203,15 +209,17 @@ class TestEvolvePseudo:
         fn = make_function("sphere", dimension=2)
         params = small_params(ga=GaParams(pop_size=1, n_elites=0))
         pop, model, rates = fitted_population(fn, params, n=1)
-        m = evolve_pseudo(pop, model, rates, fn, params, RngState(0))
-        assert len(m) == 1 and not m.sampled[0]
+        genomes, fitness, source = evolve_pseudo(*pop, model, rates, fn, params,
+                                                 RngState(0))
+        assert genomes.shape == (1, 2) and len(source) == 0
+        assert fitness[0] == pytest.approx(regression.predict(model, genomes[0]))
 
 
 def spy_on_steps(monkeypatch, fidelity=None):
     """Record each switching step of ``run`` as ``[fidelity, generations,
     calls]``: the ``generations`` that its ``evolve_pseudo`` calls asked for,
-    and how many calls it made. ``fidelity(step)``, when given, replaces the
-    fit's."""
+    and how many calls it made (none when it earned 0 generations).
+    ``fidelity(step)``, when given, replaces the fit's."""
     steps = []
     real_fit, real_evolve = regression.fit_rated, engine.evolve_pseudo
 
@@ -222,10 +230,10 @@ def spy_on_steps(monkeypatch, fidelity=None):
         steps.append([rho, 0, 0])
         return model, rho
 
-    def evolve_pseudo(*args, generations=1):
-        steps[-1][1] += generations
+    def evolve_pseudo(*args):
+        steps[-1][1] += args[-1]
         steps[-1][2] += 1
-        return real_evolve(*args, generations=generations)
+        return real_evolve(*args)
 
     monkeypatch.setattr(regression, "fit_rated", fit_rated)
     monkeypatch.setattr(engine, "evolve_pseudo", evolve_pseudo)
@@ -262,7 +270,7 @@ class TestSurrogateGenerations:
         assert len(steps) >= len(cases)
         for k, (_, generations, calls) in enumerate(steps):
             assert generations == cases[k % len(cases)][1]
-            assert calls == 1  # one call per step, zero generations included
+            assert calls == (generations > 0)  # one call per step that earns any
 
 
 class TestMergeAndResample:
@@ -272,31 +280,32 @@ class TestMergeAndResample:
         fn = make_function("sphere", dimension=2)
         params = DpseaParams(ga=GaParams(pop_size=100, n_elites=10), rs_merge=5)
         rng = np.random.default_rng(0)
-        pop = make_pop(rng.uniform(-50, 50, (100, 2)))
-        pop.unchanged[:10] = True
-        genomes = pop.genomes.copy()
+        genomes, fitness = make_pop(rng.uniform(-50, 50, (100, 2)))
+        before = genomes.copy()
         budget = Budget(pop_size=100, total_it=0, rs=5)
         merged = merge_and_resample(
-            pop, fn, NoiseModel(0.0, 0.0), RngState(1), budget, params
+            genomes, fitness, np.arange(10), fn, NoiseModel(0.0, 0.0), RngState(1),
+            budget, params
         )
-        assert len(merged) == 100
-        assert np.array_equal(merged.genomes, genomes)
+        assert merged is fitness and len(merged) == 100
+        assert np.array_equal(genomes, before)
         assert budget.total_eval == 450
         assert budget.total_unchanged == 50
 
     def test_exempt_members_keep_fitness(self):
+        # elite 0 was copied from input row 3: kept; elite 1 was born inside
+        # the last GA call (source -1): rescored like the offspring
         fn = make_function("sphere", dimension=2)
-        params = small_params(ga=GaParams(pop_size=4, n_elites=1))
-        pop = make_pop(np.zeros((4, 2)), [1.0, 2.0, 3.0, 4.0])
-        pop.unchanged[0] = True
+        params = small_params(ga=GaParams(pop_size=4, n_elites=2))
+        genomes, fitness = make_pop(np.zeros((4, 2)), [1.0, 2.0, 3.0, 4.0])
         budget = Budget(pop_size=4, total_it=0, rs=1)
         merged = merge_and_resample(
-            pop, fn, NoiseModel(0.0, 0.0), RngState(1), budget, params
+            genomes, fitness, np.array([3, -1]), fn, NoiseModel(0.0, 0.0), RngState(1),
+            budget, params
         )
-        assert merged.unchanged.sum() == 1
-        assert merged.fitness[merged.unchanged][0] == 1.0
         # true sphere value at origin
-        assert np.all(merged.fitness[~merged.unchanged] == 0.0)
+        assert merged.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert (budget.total_eval, budget.total_unchanged) == (3, 1)
 
     def test_over_the_cap_returns_none_and_charges_nothing(self):
         # 10 members, 2 exempt elites, rs = 2: the merge costs 16; with 85
@@ -304,23 +313,67 @@ class TestMergeAndResample:
         fn = make_function("sphere", dimension=2)
         params = small_params(ga=GaParams(pop_size=10, n_elites=2), rs_merge=2,
                               max_total_eval=100)
-        pop = make_pop(np.ones((10, 2)))
-        pop.unchanged[:2] = True
-        before = pop.fitness.copy()
+        genomes, fitness = make_pop(np.ones((10, 2)))
+        before = fitness.copy()
         budget = Budget(pop_size=10, total_it=0, rs=2, total_eval=85)
-        merged = merge_and_resample(
-            pop, fn, NoiseModel(0.0, 1.0), RngState(1), budget, params
-        )
+        args = (genomes, fitness, np.array([0, 1]), fn, NoiseModel(0.0, 1.0))
+        merged = merge_and_resample(*args, RngState(1), budget, params)
         assert merged is None
         assert (budget.total_eval, budget.total_unchanged) == (85, 0)
-        assert np.array_equal(pop.fitness, before)
+        assert np.array_equal(fitness, before)
         # one evaluation less spent and the same merge fits
         budget.total_eval = 84
-        merged = merge_and_resample(
-            pop, fn, NoiseModel(0.0, 1.0), RngState(1), budget, params
-        )
+        merged = merge_and_resample(*args, RngState(1), budget, params)
         assert len(merged) == 10
         assert (budget.total_eval, budget.total_unchanged) == (100, 4)
+
+
+class TestMergeInRun:
+    def test_merge_keeps_only_the_elites_copied_from_measured_rows(self, monkeypatch):
+        # the rows a merge keeps (fitness untouched) are the elites that the
+        # last GA call copied from its input: the main generation's n_elites
+        # at a zero-generation step, the rows with source >= 0 of the pseudo
+        # generations otherwise; every other row is rescored, and
+        # total_unchanged grows per step by the main generation's n_elites
+        # and the kept rows, rs each
+        n, n_elites, rs = 20, 2, 2
+        params = small_params(rs_merge=rs, max_total_eval=3000)
+        real_evolve, real_merge = engine.evolve_pseudo, engine.merge_and_resample
+        pseudo, steps = [], []
+
+        def evolve_pseudo(*args):
+            out = real_evolve(*args)
+            pseudo.append((args[-1], np.flatnonzero(out[2] >= 0)))
+            return out
+
+        def merge(genomes, fitness, source, fn, noise, rng, budget, params):
+            before, evals = fitness.copy(), budget.total_eval
+            out = real_merge(genomes, fitness, source, fn, noise, rng, budget, params)
+            if out is not None:
+                generations, kept = pseudo.pop() if pseudo else (0, None)
+                steps.append((generations, kept, np.flatnonzero(out == before),
+                              (budget.total_eval - evals) // rs, budget.total_unchanged))
+            return out
+
+        monkeypatch.setattr(engine, "evolve_pseudo", evolve_pseudo)
+        monkeypatch.setattr(engine, "merge_and_resample", merge)
+        res = run(make_function("sphere"), NoiseModel(0.0, 0.5), params, RngState(1))
+        assert len(steps) == len(res.trace) > 20
+
+        unchanged = 0
+        for generations, kept, untouched, rescored, total_unchanged in steps:
+            if generations == 0:
+                assert rescored == n - n_elites
+                kept = np.arange(n_elites)
+            assert np.array_equal(untouched, kept)
+            assert rescored == n - len(kept)
+            assert total_unchanged - unchanged == (n_elites + len(kept)) * rs
+            unchanged = total_unchanged
+        assert res.budget.total_unchanged == unchanged
+        # both kinds of step, and pseudo generations that bred an elite
+        gens = [g for g, *_ in steps]
+        assert 0 in gens and max(gens) >= 1
+        assert any(g > 0 and len(kept) < n_elites for g, kept, *_ in steps)
 
 
 class TestCoordinateSweep:
@@ -458,6 +511,16 @@ class TestRun:
         params = DpseaParams(max_total_eval=10_000)
         res = run(fn, NoiseModel(0.0, 0.0), params, RngState(4))
         assert res.best_fitness < 1e-3
+
+    def test_noise_at_the_sigma_bound_stays_finite(self):
+        # 50-D griewank, with the initial design's 4180-row fit: no value of
+        # the run overflows at the largest sigma NoiseModel accepts
+        fn = make_function("griewank")
+        for rs in (1, 5):
+            params = DpseaParams(rs_merge=rs, max_total_eval=6000 * rs)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                res = run(fn, NoiseModel(0.0, SIGMA_MAX), params, RngState(1))
+            assert len(res.trace) > 0 and np.isfinite(res.best_fitness)
 
     def test_rs_merge_scales_consumption(self):
         fn = make_function("sphere")

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dpsea.ga import GaParams, Population, evolve_generation
+from dpsea.ga import GaParams, evolve_generation
 from dpsea.stochastics import RngState
 
 
@@ -258,40 +258,31 @@ class TestEvolveGeneration:
         rng = RngState(1)
         self.genomes = rng.uniform(-1, 1, (20, 3))
         self.fitness = np.arange(20, dtype=float)
-        self.pop = Population.new(self.genomes, self.fitness, sampled=True)
 
     def sphere(self, xs):
         return np.sum(xs * xs, axis=1)
 
     def test_size_preserved(self):
-        genomes, fitness, elites = evolve_generation(
-            self.genomes, self.fitness, self.params, RngState(2), (-1.0, 1.0),
-            self.sphere,
-        )
-        assert genomes.shape == (20, 3)
-        assert fitness.shape == (20,)
-        assert elites.shape == (4,)
-        assert len(self.pop.evolve(
-            self.params, RngState(2), (-1.0, 1.0), self.sphere, sampled=True
-        )) == 20
+        for k in (1, 3):
+            genomes, fitness, source = evolve_generation(
+                self.genomes, self.fitness, self.params, RngState(2), (-1.0, 1.0),
+                self.sphere, generations=k,
+            )
+            assert genomes.shape == (20, 3)
+            assert fitness.shape == (20,)
+            assert source.shape == (4,)
 
     def test_elites_carried_unchanged(self):
-        genomes, fitness, elites = evolve_generation(
+        genomes, fitness, source = evolve_generation(
             self.genomes, self.fitness, self.params, RngState(2), (-1.0, 1.0),
             lambda xs: np.zeros(len(xs)),
         )
-        assert np.array_equal(elites, np.arange(4))
-        out = self.pop.evolve(
-            self.params, RngState(2), (-1.0, 1.0), lambda xs: np.zeros(len(xs)),
-            sampled=True,
-        )
-        for i in range(4):
-            assert out.unchanged[i]
-            assert fitness[i] == self.fitness[i]
-            assert out.fitness[i] == self.fitness[i]
-            assert np.array_equal(genomes[i], self.genomes[i])
-            assert np.array_equal(out.genomes[i], self.genomes[i])
-        assert not out.unchanged[4:].any()
+        # the four best input rows, copied with their fitness; the offspring
+        # after them score 0
+        assert np.array_equal(source, np.arange(4))
+        assert np.array_equal(genomes[:4], self.genomes[:4])
+        assert np.array_equal(fitness[:4], self.fitness[:4])
+        assert not fitness[4:].any()
 
     def test_fitness_called_once_per_offspring(self):
         calls = []
@@ -388,14 +379,6 @@ class TestEvolveGeneration:
                 self.genomes[:10], self.fitness[:10], self.params, RngState(0),
                 (-1, 1), lambda xs: np.zeros(len(xs)),
             )
-
-    def test_sampled_flag_propagates(self):
-        out = self.pop.evolve(
-            self.params, RngState(2), (-1.0, 1.0), lambda xs: np.zeros(len(xs)),
-            sampled=False,
-        )
-        assert not out.sampled[4:].any()
-        assert out.sampled[:4].all()  # elites keep their flag
 
 
 def reference_generations(genomes, fitness, params, draws, bounds, score, table, generations):
@@ -499,36 +482,38 @@ class TestGenerations:
         # rows 0 and 2 beat every child (offspring score >= 0) and stay elites
         # for all 4 steps; the third elite is a child born inside the call
         params = GaParams(pop_size=10, n_elites=3, sigma_m=0.25)
+        genomes = RngState(1).uniform(-1, 1, (10, 3))
         fitness = np.array([-5.0, 7.0, -4.0, 8.0, 9.0, 6.0, 5.0, 4.0, 3.0, 2.0])
-        sampled = np.array([True] * 2 + [False] + [True] * 7)
-        pop = Population(RngState(1).uniform(-1, 1, (10, 3)), fitness, sampled,
-                         np.zeros(10, dtype=bool))
 
         def score(xs):
             return np.sum(xs * xs, axis=1)
 
-        out = pop.evolve(params, RngState(4), (-1.0, 1.0), score, sampled=False,
-                         generations=4)
-        _, _, source = evolve_generation(pop.genomes, fitness, params, RngState(4),
-                                         (-1.0, 1.0), score, generations=4)
+        out = evolve_generation(genomes, fitness, params, RngState(4), (-1.0, 1.0),
+                                score, generations=4)
+        source = out[2]
+        # copied from an input row: the merge keeps it, with the input's
+        # genome and fitness; born inside the call: the merge rescores it
         assert source.tolist() == [0, 2, -1]
-        assert out.unchanged.tolist() == [True] * 3 + [False] * 7
-        # carried from a sampled row: exempt; from an unsampled row or born
-        # inside the call: not
-        assert out.exempt.tolist() == [True] + [False] * 9
-        assert not out.sampled[2:].any()
+        assert np.array_equal(out[0][:2], genomes[[0, 2]])
+        assert out[1][:2].tolist() == [-5.0, -4.0]
+        assert out[1][2] == score(out[0][2:3])[0]
 
-        chained, rng = pop, RngState(4)
+        g, f, rng = genomes, fitness, RngState(4)
+        chained = np.arange(10)
         for _ in range(4):
-            chained = chained.evolve(params, rng, (-1.0, 1.0), score, sampled=False)
-        for name in ("genomes", "fitness", "sampled", "unchanged"):
-            assert np.array_equal(getattr(chained, name), getattr(out, name))
+            g, f, elites = evolve_generation(g, f, params, rng, (-1.0, 1.0), score)
+            chained = np.concatenate([chained[elites], np.full(7, -1)])
+        assert np.array_equal(g, out[0]) and np.array_equal(f, out[1])
+        assert np.array_equal(chained[:3], source)
 
     def test_zero_generations_return_the_population(self):
-        pop = Population.new(np.zeros((4, 2)), np.arange(4.0), sampled=True)
+        # the kernel refuses 0 generations before any draw or write, so a
+        # step that earns none keeps its population as it is
+        genomes, fitness = np.zeros((4, 2)), np.arange(4.0)
         params = GaParams(pop_size=4, n_elites=1)
-        assert pop.evolve(params, RngState(0), (-1.0, 1.0), None, sampled=False,
-                          generations=0) is pop
+        rng = RecordingRng(0)
         with pytest.raises(ValueError):
-            evolve_generation(pop.genomes, pop.fitness, params, RngState(0),
-                              (-1.0, 1.0), None, generations=0)
+            evolve_generation(genomes, fitness, params, rng, (-1.0, 1.0), None,
+                              generations=0)
+        assert rng.calls == []
+        assert not genomes.any() and fitness.tolist() == [0.0, 1.0, 2.0, 3.0]

@@ -514,6 +514,26 @@ class TestCli:
         assert err.startswith("error: invalid configuration:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["1e308", "0,1.1e153"])
+    def test_sigma_above_the_noise_bound_exits_1_before_any_run(
+        self, sigma, tmp_path, capsys, monkeypatch
+    ):
+        # at 1e308 a noise draw overflowed to inf and the dpsea run died in
+        # its surrogate fit
+        def no_run(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        out = tmp_path / "res"
+        code, _, err = self.run_cli([
+            "run", "--repeats", "1", "--seed", "1", "--total-eval", "2000",
+            "--sigma", sigma, "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: invalid configuration: sigmas must be")
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["inf", "0,nan"])
     def test_non_finite_sigma_flag_exits_1_before_any_run(
         self, sigma, tmp_path, capsys, monkeypatch
@@ -780,6 +800,41 @@ class TestCli:
         code, stdout, _ = self.run_cli(["summarize", "--in", out], capsys)
         assert code == 0
         assert sigma_of(stdout) == "0.0"
+
+    @pytest.mark.parametrize("fmt, key, value", [
+        ("json", "best_true_fitness", "abc"),
+        ("json", "success", 1),
+        ("json", "total_eval", True),
+        ("json", "seed", 1.5),
+        ("csv", "success", "yes"),
+    ])
+    def test_mistyped_runs_field_exits_1(self, fmt, key, value, tmp_path, capsys):
+        out = str(tmp_path / "res")
+        code, _, err = self.run_cli([
+            "run", "--algo", "cga", "--function", "sphere", "--sigma", "0",
+            "--rs", "1", "--repeats", "1", "--seed", "1", "--total-eval",
+            "500", "--format", fmt, "--out", out,
+        ], capsys)
+        assert code == 0, err
+        path = os.path.join(out, f"runs.{fmt}")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if fmt == "json":
+            rows = json.loads(text)
+            rows[0][key] = value
+            text = json.dumps(rows)
+        else:
+            header, row = text.splitlines()
+            cells = dict(zip(header.split(","), row.split(",")))
+            cells[key] = value
+            text = f"{header}\n{','.join(cells.values())}\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["summarize", "--in", out], ["success", "--in", out, "--epsilon", "1"]):
+            code, stdout, err = self.run_cli(argv, capsys)
+            assert (code, stdout) == (1, "")
+            assert err.splitlines() == [err.strip()]
+            assert f"runs.{fmt}" in err and repr(value) in err
 
     def test_malformed_runs_json_exits_1(self, tmp_path, capsys):
         (tmp_path / "runs.json").write_text(json.dumps([{"function": "sphere"}]))
