@@ -39,6 +39,8 @@ FUNCTION_IDS = tuple(_DEFAULTS)
 # 2 * 53 * ln 2). With sigma * 12.3 at most the square root of the largest
 # float, resample means and the surrogate's sums and products over noisy
 # values stay finite; at sigma 1e306 the surrogate's coefficients overflowed.
+# |mu| is held to the same bound: at mu 1e308 they overflowed too, and at
+# mu = +-SIGMA_MAX runs of every algorithm stay finite, sigma 0 or SIGMA_MAX.
 SIGMA_MAX = float(np.sqrt(np.finfo(np.float64).max)) / 12.3
 
 
@@ -69,8 +71,9 @@ class NoiseModel:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and 0 <= self.sigma <= SIGMA_MAX):
-            raise ValueError(f"need a finite mu and 0 <= sigma <= SIGMA_MAX, got {self}")
+        if not (abs(self.mu) <= SIGMA_MAX and 0 <= self.sigma <= SIGMA_MAX):
+            raise ValueError("need finite noise, |mu| <= SIGMA_MAX and "
+                             f"0 <= sigma <= SIGMA_MAX, got {self}")
 
 
 def make_function(name, dimension=None, rastrigin_constant=None):

@@ -107,7 +107,7 @@ def evolve_generation(
 
         # binary tournaments: (pair, parent slot, draw); the lower rank wins
         draws = rng.integers(0, n, (n_pairs, 2, 2))
-        won = np.minimum(rank[draws[..., 0]], rank[draws[..., 1]])  # (n_pairs, 2)
+        won = rank[draws].min(axis=-1)  # (n_pairs, 2)
         parents = genomes[order[won]]
 
         u_cross = rng.random(n_pairs)
@@ -116,15 +116,17 @@ def evolve_generation(
         np.multiply(alphas, parents, out=pairs)
         np.multiply(1 - alphas, parents[:, ::-1], out=other)
         pairs += other
-        uncrossed = np.flatnonzero(u_cross >= params.p_c)
-        pairs[uncrossed] = parents[uncrossed]
+        uncrossed = u_cross >= params.p_c
+        if uncrossed.any():
+            pairs[uncrossed] = parents[uncrossed]
 
         mask_u = rng.random((n_off, d))
         if params.sigma_m > 0:
             child_rates = params.p_m if rates is None else rates[won.reshape(-1)[:n_off], None]
-            mutated = (mask_u < child_rates).ravel().nonzero()[0]
+            mutated = np.flatnonzero(mask_u < child_rates)
             flat_children[mutated] += rng.normal(0.0, step, mutated.size)
-        np.clip(children, bounds[0], bounds[1], out=children)
+        np.maximum(children, bounds[0], out=children)
+        np.minimum(children, bounds[1], out=children)
 
         scores = score(children)
         # the elites' rows are read before any row of out_genomes is written

@@ -76,19 +76,22 @@ def _design_matrix(xs, kind):
     spread (spread of a degenerate coordinate taken as 1).
 
     Returns ``(a, center, scale)``: the ``(n, p)`` design matrix and the
-    standardization used.
+    standardization used. ``scale`` is ``xs.std(axis=0)`` bit for bit,
+    taken from the deviations the design needs anyway.
     """
+    n, d = xs.shape
     center = xs.mean(axis=0)
-    scale = xs.std(axis=0)
-    scale = np.where(scale == 0.0, 1.0, scale)
-    z = (xs - center) / scale
-    ones = np.ones((z.shape[0], 1))
-    if kind is ModelKind.CONSTANT:
-        a = ones
-    elif kind is ModelKind.LINEAR:
-        a = np.hstack([ones, z])
-    else:
-        a = np.hstack([ones, z, z * z])
+    dev = xs - center
+    scale = np.sqrt((dev * dev).sum(axis=0) / n)
+    scale[scale == 0.0] = 1.0
+    cols = {ModelKind.CONSTANT: 1, ModelKind.LINEAR: d + 1,
+            ModelKind.DIAG_QUADRATIC: 2 * d + 1}[kind]
+    a = np.empty((n, cols))
+    a[:, 0] = 1.0
+    if kind is not ModelKind.CONSTANT:
+        z = np.divide(dev, scale, out=a[:, 1 : d + 1])
+        if kind is ModelKind.DIAG_QUADRATIC:
+            np.multiply(z, z, out=a[:, d + 1 :])
     return a, center, scale
 
 
@@ -147,10 +150,11 @@ def fit_rated(xs, ys, kind, lam):
     """
     xs, ys = _checked(xs, ys, lam)
     a, center, scale = _design_matrix(xs, kind)
-    pen = np.full(a.shape[1], float(lam))
-    pen[0] = 0.0
+    p = a.shape[1]
+    gram = a.T @ a
+    gram.flat[p + 1 :: p + 1] += lam  # the diagonal but the intercept's
     try:
-        inv = np.linalg.inv(np.linalg.cholesky(a.T @ a + np.diag(pen)))
+        inv = _tril_inv(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
         return fit(xs, ys, kind, lam), 0.0
     w = inv @ a.T
@@ -163,9 +167,30 @@ def fit_rated(xs, ys, kind, lam):
     loo = ys - (ys - w.T @ wy) / np.maximum(1.0 - leverage, 1e-12)
     # stable ranks are a permutation of 0..n-1 (no ties), so Pearson on
     # them is exactly 1 - 6 sum(d^2) / (n (n^2 - 1))
-    rank = lambda v: np.argsort(np.argsort(v, kind="stable"), kind="stable")
-    d = rank(loo) - rank(ys)
+    ranks = np.arange(n)
+    d = np.empty(n, dtype=np.intp)
+    d[np.argsort(loo, kind="stable")] = ranks
+    d[np.argsort(ys, kind="stable")] -= ranks
     return model, 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
+
+
+def _tril_inv(low):
+    """Inverse of the lower-triangular ``low``, by halves.
+
+    ``[[A, 0], [C, B]]`` has the inverse ``[[A^-1, 0], [-B^-1 C A^-1,
+    B^-1]]``; the diagonal blocks recurse. ``np.linalg.inv`` (an LU solve
+    against the identity, blind to the triangle) inverts every block of
+    at most 32 columns, so a factor that small is inverted by it alone.
+    """
+    p = low.shape[0]
+    if p <= 32:
+        return np.linalg.inv(low)
+    h = p // 2
+    out = np.zeros_like(low)
+    out[:h, :h] = _tril_inv(low[:h, :h])
+    out[h:, h:] = _tril_inv(low[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ low[h:, :h] @ out[:h, :h])
+    return out
 
 
 def _model(beta, kind, lam, center, scale):
@@ -195,11 +220,11 @@ def predict_many(model, xs):
         raise ValueError(f"expected shape (n, {model.dimension}), got {xs.shape}")
     c = model.coefficients
     d = model.dimension
-    out = np.full(xs.shape[0], c[0])
-    if model.kind is not ModelKind.CONSTANT:
-        out = out + xs @ c[1 : d + 1]
+    if model.kind is ModelKind.CONSTANT:
+        return np.full(xs.shape[0], c[0])
+    out = xs @ c[1 : d + 1] + c[0]
     if model.kind is ModelKind.DIAG_QUADRATIC:
-        out = out + (xs * xs) @ c[d + 1 :]
+        out += (xs * xs) @ c[d + 1 :]
     return out
 
 

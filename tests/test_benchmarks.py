@@ -160,6 +160,15 @@ class TestNoisyEvaluate:
             with pytest.raises(ValueError, match="SIGMA_MAX"):
                 NoiseModel(0.0, sigma)
 
+    def test_mean_above_the_bound_rejected(self):
+        # a run at mu 1e308 raised "regression produced non-finite
+        # coefficients"; the bound itself is accepted, either sign
+        for mu in (SIGMA_MAX, -SIGMA_MAX):
+            assert NoiseModel(mu, 1.0).mu == mu
+        for mu in (1e308, -1e308, np.nextafter(SIGMA_MAX, np.inf)):
+            with pytest.raises(ValueError, match="SIGMA_MAX"):
+                NoiseModel(mu, 1.0)
+
     def test_sample_mean_converges(self):
         # |mean - f(x)| < 4 sigma / sqrt(n) in >= 99% of repeated trials
         fn = make_function("sphere")

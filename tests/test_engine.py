@@ -522,6 +522,17 @@ class TestRun:
                 res = run(fn, NoiseModel(0.0, SIGMA_MAX), params, RngState(1))
             assert len(res.trace) > 0 and np.isfinite(res.best_fitness)
 
+    def test_noise_at_the_mean_bound_stays_finite(self):
+        # mu 1e308 overflowed the surrogate's coefficients; at the bound,
+        # with and without spread, no value of the run overflows
+        fn = make_function("sphere")
+        for mu, sigma in ((SIGMA_MAX, 0.0), (-SIGMA_MAX, SIGMA_MAX)):
+            for rs in (1, 5):
+                params = DpseaParams(rs_merge=rs, max_total_eval=6000 * rs)
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    res = run(fn, NoiseModel(mu, sigma), params, RngState(1))
+                assert len(res.trace) > 0 and np.isfinite(res.best_fitness)
+
     def test_rs_merge_scales_consumption(self):
         fn = make_function("sphere")
         p1 = small_params(max_total_eval=4000, rs_merge=1)

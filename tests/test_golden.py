@@ -10,8 +10,9 @@ values and says so.
 
 The budgets are small but one, so the module runs in a few seconds. Besides
 the defaults, the cases cover a skipped initial design (two budgets it does
-not fit in), rs = 3 and sigma = 0, and one noiseless sphere run at the full
-90k budget, whose long trace is pinned by its SHA-256.
+not fit in), rs = 3 and sigma = 0, one 50-D run whose surrogate fits have 101
+columns, and one noiseless sphere run at the full 90k budget, whose long
+trace is pinned by its SHA-256.
 """
 
 import dataclasses
@@ -243,6 +244,83 @@ DPSEA_GOLDEN = [
             (2, 670, 176757.2349517557, 1, 1),
             (3, 860, 148930.4186601715, 1, 1),
             (4, 950, 143081.30170271883, 1, 1),
+        ],
+    ),
+    # 50-D, a budget the initial design does not fit: every switching step
+    # fits 101 columns, past the 32-column leaf of the factor's inverse
+    Golden(
+        function='rastrigin1', dimension=50, sigma=0.5, rs=1, budget=3000, seed=18,
+        best_fitness=38.31072791916904,
+        best_genome=[
+            0.9735028329400895,
+            0.9638391191366137,
+            0.014508873837250885,
+            0.011758236268424429,
+            1.0272614351708598,
+            -0.9891542493950629,
+            -0.990144404153159,
+            -0.9746492160982567,
+            -1.984030312593973,
+            0.012568509057025308,
+            -0.9788720512990873,
+            0.02094159793958079,
+            0.9986443137761964,
+            1.017114349146262,
+            -0.002763267303839736,
+            -0.95914772464128,
+            0.0029595789673904464,
+            -0.002318100502211575,
+            0.9593345585653705,
+            0.9923351583186442,
+            -1.9574987273120168,
+            0.0024556862106683234,
+            1.0085029088169697,
+            -1.9889503093166847,
+            -1.0392208384762722,
+            -0.01598491322483617,
+            -1.0176567380941712,
+            0.9771674062922501,
+            -0.00036083648379894016,
+            -0.0019390392866999906,
+            0.027233745639315188,
+            -1.0115923151080433,
+            0.007702381519165492,
+            -0.025118799312197338,
+            0.027252513968811932,
+            -0.004270828700565852,
+            0.008571269341289985,
+            0.02202944319934909,
+            -0.01462989462635333,
+            0.0033042900573547027,
+            -1.024515367392189,
+            -0.9850877552520556,
+            0.9786425612271996,
+            0.9911701742259517,
+            -0.9917645129421655,
+            -0.016825658554480875,
+            0.012610717475761769,
+            0.0048940182304335455,
+            -0.974117182015478,
+            0.025813662400732264,
+        ],
+        total_eval=2946,
+        total_unchanged=154,
+        trace=[
+            (0, 289, 355.6814070310535, 1, 1),
+            (1, 479, 345.3962237178312, 1, 1),
+            (2, 669, 283.17239946424627, 1, 1),
+            (3, 859, 235.86919930776924, 1, 1),
+            (4, 1049, 168.97773244763852, 1, 1),
+            (5, 1239, 127.55617885204589, 1, 1),
+            (6, 1429, 88.60181487437234, 1, 1),
+            (7, 1619, 64.39196130910415, 1, 1),
+            (8, 1809, 52.375603502889874, 1, 1),
+            (9, 1999, 45.61511542962444, 1, 1),
+            (10, 2189, 43.23813423062103, 1, 1),
+            (11, 2379, 41.24284110008011, 1, 1),
+            (12, 2569, 39.79931279110241, 1, 1),
+            (13, 2757, 38.688132722661294, 1, 1),
+            (14, 2946, 38.31072791916904, 1, 1),
         ],
     ),
     # acceptance criterion 1's regime: noiseless sphere at the full 90k,

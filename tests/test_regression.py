@@ -4,6 +4,9 @@ import pytest
 from dpsea.regression import (
     ModelKind,
     RegressionModel,
+    _design_matrix,
+    _model,
+    _tril_inv,
     fit,
     fit_rated,
     minimize,
@@ -48,6 +51,52 @@ def oracle_fit(xs, ys, kind, lam):
     lin = bl / s - 2 * quad * c
     const = b0 - (bl / s) @ c + quad @ (c * c)
     return np.concatenate([[const], lin, quad])
+
+
+def reference_design_matrix(xs, kind):
+    """The design from ``xs.std`` and ``hstack``, which ``_design_matrix``
+    must match bit for bit."""
+    center = xs.mean(axis=0)
+    scale = xs.std(axis=0)
+    scale = np.where(scale == 0.0, 1.0, scale)
+    z = (xs - center) / scale
+    ones = np.ones((z.shape[0], 1))
+    if kind is ModelKind.CONSTANT:
+        return ones, center, scale
+    if kind is ModelKind.LINEAR:
+        return np.hstack([ones, z]), center, scale
+    return np.hstack([ones, z, z * z]), center, scale
+
+
+def reference_fit_rated(xs, ys, kind, lam):
+    """``fit_rated``'s coefficients and fidelity with the penalty added
+    through ``np.diag``, ``np.linalg.inv`` of the whole factor and each rank
+    from two ``argsort`` calls."""
+    a, center, scale = reference_design_matrix(xs, kind)
+    pen = np.full(a.shape[1], float(lam))
+    pen[0] = 0.0
+    inv = np.linalg.inv(np.linalg.cholesky(a.T @ a + np.diag(pen)))
+    w = inv @ a.T
+    wy = w @ ys
+    coef = _model(inv.T @ wy, kind, lam, center, scale).coefficients
+    n = ys.shape[0]
+    leverage = np.einsum("ij,ij->j", w, w)
+    loo = ys - (ys - w.T @ wy) / np.maximum(1.0 - leverage, 1e-12)
+    rank = lambda v: np.argsort(np.argsort(v, kind="stable"), kind="stable")
+    d = rank(loo) - rank(ys)
+    return coef, 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
+
+
+def reference_predict_many(model, xs):
+    """``predict_many`` summed from ``np.full`` of the intercept."""
+    c = model.coefficients
+    d = model.dimension
+    out = np.full(xs.shape[0], c[0])
+    if model.kind is not ModelKind.CONSTANT:
+        out = out + xs @ c[1 : d + 1]
+    if model.kind is ModelKind.DIAG_QUADRATIC:
+        out = out + (xs * xs) @ c[d + 1 :]
+    return out
 
 
 class TestSelectKind:
@@ -323,6 +372,74 @@ class TestLooRankCorrelation:
         ys = rng.normal(size=10)
         _, fidelity = fit_rated(xs, ys, ModelKind.CONSTANT, 1e-6)
         assert fidelity == pytest.approx(-1.0)
+
+
+class TestFitInternals:
+    """The fit's kernels against the reference formulas above: bit for bit
+    up to 32 columns (15-D), where ``np.linalg.inv`` alone inverts the
+    factor."""
+
+    @staticmethod
+    def samples(rng, n, d, ties=False):
+        xs = rng.uniform(-3, 3, (n, d))
+        xs[:, 0] = 1.5  # a degenerate coordinate, spread taken as 1
+        ys = rng.normal(0, 1, n) + (xs * xs) @ rng.uniform(-1, 1, d)
+        return xs, np.round(ys) if ties else ys
+
+    def test_design_matrix_is_bit_for_bit_the_std_and_hstack_design(self):
+        rng = np.random.default_rng(21)
+        for d in (1, 5, 15, 50):
+            xs, _ = self.samples(rng, 190, d)
+            for kind in ModelKind:
+                got = _design_matrix(xs, kind)
+                want = reference_design_matrix(xs, kind)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and np.array_equal(g, w), (d, kind)
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+    def test_fit_rated_is_bit_for_bit_the_reference_up_to_15d(self, ties):
+        rng = np.random.default_rng(22)
+        for d in (1, 2, 5, 10, 15):
+            for n in (2 * d + 3, 190):
+                xs, ys = self.samples(rng, n, d, ties)
+                for kind in ModelKind:
+                    for lam in (1e-8, 1e-3):  # lam 0 and the flat column: no factor
+                        model, fidelity = fit_rated(xs, ys, kind, lam)
+                        coef, want = reference_fit_rated(xs, ys, kind, lam)
+                        assert np.array_equal(model.coefficients, coef), (d, n, kind, lam)
+                        assert fidelity == want, (d, n, kind, lam)
+                        q = rng.uniform(-3, 3, (90, d))
+                        assert np.array_equal(predict_many(model, q),
+                                              reference_predict_many(model, q))
+
+    def test_fit_rated_past_the_leaf_is_the_reference_within_1e12(self):
+        # 50-D: 101 columns, inverted by halves, so the bits may move
+        rng = np.random.default_rng(23)
+        for ties in (False, True):
+            xs, ys = self.samples(rng, 190, 50, ties)
+            model, fidelity = fit_rated(xs, ys, ModelKind.DIAG_QUADRATIC, 1e-6)
+            coef, want = reference_fit_rated(xs, ys, ModelKind.DIAG_QUADRATIC, 1e-6)
+            rel = np.abs(model.coefficients - coef) / np.maximum(np.abs(coef), 1.0)
+            assert np.all(rel < 1e-12) and fidelity == pytest.approx(want, abs=1e-3)
+
+    @pytest.mark.parametrize("p", [1, 32, 33, 64, 101])
+    def test_triangular_inverse_by_halves(self, p):
+        # a well-conditioned factor, and one of a Gram matrix with condition
+        # number 1e12 (the factor's is 1e6): entries within 1e-12 of the
+        # largest, and every entry above the diagonal exactly 0
+        rng = np.random.default_rng(p)
+        m = rng.normal(size=(p + 5, p))
+        q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        ill = (q * np.logspace(0, -12, p)) @ q.T
+        for gram in (m.T @ m, (ill + ill.T) / 2):
+            low = np.linalg.cholesky(gram)
+            got, want = _tril_inv(low), np.linalg.inv(low)
+            if p <= 32:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                h = p // 2
+                assert not got[:h, h:].any()
 
 
 class TestValidation:

@@ -37,6 +37,58 @@ class TestBenchPairs:
         assert "workload exploded" in err
 
 
+    def test_verdicts_follow_wins_spread_and_bound(self, tmp_path, capsys):
+        # each run.py reports the metrics its checkout's values.json holds
+        # for the run's index; the change's run_cal is lower in 9 of 10
+        # pairs by more than the parent's spread, its cpu_cal within the
+        # bound, its evals_per_cal 30 % lower and its setup_s 10 % lower in
+        # every pair but inside the parent's spread
+        bench_pairs = load_tool("bench_pairs")
+        parent = {"run_cal": [1.0, 1.1, 1.0, 1.05, 1.0, 1.1, 1.0, 1.05, 1.0, 1.1],
+                  "cpu_cal": [1.0] * 10, "evals_per_cal": [10.0] * 10,
+                  "setup_s": [0.5, 1.5] * 5}
+        change = {"run_cal": [0.8] * 9 + [1.2], "cpu_cal": [1.2] * 10,
+                  "evals_per_cal": [7.0] * 10, "setup_s": [0.45, 1.35] * 5}
+        spec = {"end_to_end": [
+            {"name": "run_cal", "better": "lower", "bound": 0.25},
+            {"name": "cpu_cal", "better": "lower", "bound": 0.25},
+            {"name": "evals_per_cal", "better": "higher", "bound": 0.25},
+            {"name": "setup_s", "better": "lower", "bound": 0.25},
+        ]}
+        run_py = (
+            "import json, pathlib\n"
+            "count = pathlib.Path('count')\n"
+            "i = int(count.read_text()) if count.exists() else 0\n"
+            "count.write_text(str(i + 1))\n"
+            "values = json.loads(pathlib.Path('values.json').read_text())\n"
+            "print('env {}')\n"
+            "print(json.dumps({'failed': 0, 'metrics': {k: {'value': v[i]} "
+            "for k, v in values.items()}}))\n"
+        )
+        roots = {}
+        for side, values in (("parent", parent), ("change", change)):
+            root = roots[side] = tmp_path / side
+            (root / "perfbench").mkdir(parents=True)
+            (root / "BENCHMARK.json").write_text(json.dumps(spec))
+            (root / "values.json").write_text(json.dumps(values))
+            (root / "perfbench" / "run.py").write_text(run_py)
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main([
+            "--parent", str(roots["parent"]), "--change", str(roots["change"]),
+            "--workloads", "sphere-5d", "--pairs", "10", "--seconds", "1",
+            "--out", str(out),
+        ]) == 0
+        metrics = json.loads(out.read_text())["workloads"]["sphere-5d"]["summary"]["metrics"]
+        want = {"run_cal": "better", "cpu_cal": "unresolved",
+                "evals_per_cal": "worse", "setup_s": "unresolved"}
+        assert {name: m["verdict"] for name, m in metrics.items()} == want
+        assert metrics["run_cal"]["change_wins"] == 9
+        assert metrics["setup_s"]["change_wins"] == 10
+        printed = capsys.readouterr().out
+        for name, verdict in want.items():
+            assert f"sphere-5d {name}: {verdict}, ratio " in printed
+
+
 class TestDigests:
     ROOT = TOOLS.parent
 

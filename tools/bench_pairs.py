@@ -11,8 +11,17 @@ with the same ``--seconds`` and ``--seed``. The output file holds each
 run's ``env`` line and end-to-end metrics, and, per workload and metric,
 each side's median and quartiles, the change-over-parent ratio of the
 medians, the pairs the change won (ties count for neither; "better" is
-read from the change's ``BENCHMARK.json``), and the parent's interquartile
-range. It is rewritten after every pair, so an interrupted comparison keeps
+read from the change's ``BENCHMARK.json``), the parent's interquartile
+range and a verdict, printed when the workload's last pair is done:
+
+- ``better``: the change won at least nine tenths of the pairs and the
+  medians differ by more than the parent's interquartile range;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound`` in ``BENCHMARK.json``, a share of the parent's
+  median;
+- ``unresolved``: otherwise.
+
+The file is rewritten after every pair, so an interrupted comparison keeps
 the pairs it finished.
 """
 
@@ -43,23 +52,35 @@ def quartiles(values):
     return {"q1": q1, "median": q2, "q3": q3}
 
 
-def summarize(runs, better):
-    """Per-metric medians, quartiles, ratio and wins over complete pairs."""
+def summarize(runs, metrics):
+    """Per-metric medians, quartiles, ratio, wins and verdict over complete
+    pairs; ``metrics`` is ``BENCHMARK.json``'s ``end_to_end`` list."""
     pairs = [p for p in runs if "parent" in p and "change" in p]
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
         if len(pairs) < 2:
             break
+        name = metric["name"]
         sides = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                  for side in ("parent", "change")}
         stats = {side: quartiles(v) for side, v in sides.items()}
-        sign = 1 if direction == "lower" else -1
+        sign = 1 if metric["better"] == "lower" else -1
+        wins = sum(sign * (p - c) > 0 for p, c in zip(*sides.values()))
+        parent, change = stats["parent"]["median"], stats["change"]["median"]
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        if wins >= 0.9 * len(pairs) and sign * (parent - change) > iqr:
+            verdict = "better"
+        elif sign * (change - parent) > metric["bound"] * abs(parent):
+            verdict = "worse"
+        else:
+            verdict = "unresolved"
         out[name] = {
             **stats,
-            "ratio": stats["change"]["median"] / stats["parent"]["median"],
-            "change_wins": sum(sign * (p - c) > 0 for p, c in zip(*sides.values())),
+            "ratio": change / parent,
+            "change_wins": wins,
             "pairs": len(pairs),
-            "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+            "parent_iqr": iqr,
+            "verdict": verdict,
         }
     failed = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
     return {"metrics": out, "failed": failed}
@@ -77,7 +98,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     report = {
         "command": f"perfbench/run.py --seed {args.seed} --seconds {args.seconds} --trace 0",
         "pairs": args.pairs,
@@ -103,8 +123,11 @@ def main(argv=None):
                 pair[side] = result
                 print(f"{workload} pair {i} {side}: run_cal "
                       f"{result['metrics']['run_cal']['value']:.3f}", flush=True)
-            entry["summary"] = summarize(runs, better)
+            entry["summary"] = summarize(runs, spec["end_to_end"])
             args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+        for name, m in summarize(runs, spec["end_to_end"])["metrics"].items():
+            print(f"{workload} {name}: {m['verdict']}, ratio {m['ratio']:.3f}, "
+                  f"{m['change_wins']} of {m['pairs']} pairs won", flush=True)
     return 0
 
 
