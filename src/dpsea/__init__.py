@@ -14,8 +14,7 @@ from .baselines import CgaConfig, DeConfig, PsoConfig, run_cga, run_de, run_pso
 from .engine import DpseaParams, PseudoPopulation, run
 from .ga import GaParams
 from .regression import ModelKind, RegressionModel, fit, predict, select_kind
-from .results import CycleRecord, RunResult
-from .stochastics import Budget, RngState, resampled_fitness
+from .stochastics import Budget, CycleRecord, RngState, RunResult, resampled_fitness
 
 __version__ = "0.1.0"
 

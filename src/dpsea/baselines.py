@@ -1,11 +1,10 @@
 """Baseline optimizers under the fixed-evaluation-budget protocol.
 
-All three follow the same schedule: the total number of evaluations is
-held constant by running ``total_it = total_eval // (pop_size * rs)``
-iterations, the first of which scores the initial population; a config
-whose budget cannot pay for that first iteration is rejected on
-construction. Results are always reported as the best solution found,
-scored by the true (noiseless) fitness.
+All three follow the same schedule, started by ``_first_population``: as
+many iterations as ``total_eval`` pays for at ``pop_size * rs`` each, the
+first scoring a uniform population (a budget that cannot pay for it is
+rejected on construction), each recorded by ``Budget.end_cycle``. Results
+report the best solution found, scored by the true (noiseless) fitness.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ga import GaParams, evolve_generation
-from .results import CycleRecord, RunResult
-from .stochastics import Budget, check_budget, resample_many
+from .stochastics import Budget, RunResult, check_budget, resample_many
 
 __all__ = ["CgaConfig", "DeConfig", "PsoConfig", "run_cga", "run_de", "run_pso",
            "inertia_weight"]
@@ -72,17 +70,23 @@ class PsoConfig:
         check_budget(self.total_eval, self.pop_size, self.rs)
 
 
+def _first_population(fn, noise, rng, pop_size, rs, total_eval):
+    """Iteration 0 of the fixed schedule: the run's ``Budget`` and a uniform
+    population, scored by ``rs``-fold resampling and recorded; returns
+    ``(budget, xs, fs)``."""
+    budget = Budget(pop_size=pop_size, total_it=total_eval // (pop_size * rs), rs=rs)
+    lo, hi = fn.bounds
+    xs = rng.uniform(lo, hi, (pop_size, fn.dimension))
+    fs = resample_many(fn, xs, rs, noise, rng, budget)
+    budget.end_cycle()
+    return budget, xs, fs
+
+
 def run_cga(fn, noise, cfg, rng):
     """Generational real-coded GA with elitism and resampled fitness."""
-    total_it = cfg.total_eval // (cfg.ga.pop_size * cfg.rs)
-    budget = Budget(pop_size=cfg.ga.pop_size, total_it=total_it, rs=cfg.rs)
-    lo, hi = fn.bounds
-
-    genomes = rng.uniform(lo, hi, (cfg.ga.pop_size, fn.dimension))
-    vals = resample_many(fn, genomes, cfg.rs, noise, rng, budget)
-
-    trace = [CycleRecord(0, budget.total_eval, budget.best.best_fitness)]
-    for it in range(1, total_it):
+    budget, genomes, vals = _first_population(fn, noise, rng, cfg.ga.pop_size, cfg.rs,
+                                              cfg.total_eval)
+    for _ in range(1, budget.total_it):
         genomes, vals, _ = evolve_generation(
             genomes,
             vals,
@@ -92,8 +96,8 @@ def run_cga(fn, noise, cfg, rng):
             lambda xs: resample_many(fn, xs, cfg.rs, noise, rng, budget),
         )
         budget.skip(cfg.ga.n_elites * cfg.rs)
-        trace.append(CycleRecord(it, budget.total_eval, budget.best.best_fitness))
-    return RunResult.from_budget(budget, trace)
+        budget.end_cycle()
+    return RunResult.from_budget(budget)
 
 
 def _distinct_triples(n, rng):
@@ -116,16 +120,11 @@ def _distinct_triples(n, rng):
 
 def run_de(fn, noise, cfg, rng):
     """DE/rand/1/bin with greedy selection on resampled noisy fitness."""
-    total_it = cfg.total_eval // (cfg.pop_size * cfg.rs)
-    budget = Budget(pop_size=cfg.pop_size, total_it=total_it, rs=cfg.rs)
+    budget, xs, fs = _first_population(fn, noise, rng, cfg.pop_size, cfg.rs,
+                                       cfg.total_eval)
     lo, hi = fn.bounds
     n, d = cfg.pop_size, fn.dimension
-
-    xs = rng.uniform(lo, hi, (n, d))
-    fs = resample_many(fn, xs, cfg.rs, noise, rng, budget)
-
-    trace = [CycleRecord(0, budget.total_eval, budget.best.best_fitness)]
-    for it in range(1, total_it):
+    for _ in range(1, budget.total_it):
         r = _distinct_triples(n, rng)
         mutant = xs[r[:, 0]] + cfg.f_scale * (xs[r[:, 1]] - xs[r[:, 2]])
         mutant = np.clip(mutant, lo, hi)
@@ -137,8 +136,8 @@ def run_de(fn, noise, cfg, rng):
         better = tf <= fs
         xs[better] = trial[better]
         fs[better] = tf[better]
-        trace.append(CycleRecord(it, budget.total_eval, budget.best.best_fitness))
-    return RunResult.from_budget(budget, trace)
+        budget.end_cycle()
+    return RunResult.from_budget(budget)
 
 
 def inertia_weight(it, total_it, w_start, w_end):
@@ -150,23 +149,19 @@ def inertia_weight(it, total_it, w_start, w_end):
 
 def run_pso(fn, noise, cfg, rng):
     """Synchronous PSO with per-dimension random velocity weights."""
-    total_it = cfg.total_eval // (cfg.pop_size * cfg.rs)
-    budget = Budget(pop_size=cfg.pop_size, total_it=total_it, rs=cfg.rs)
+    budget, xs, fs = _first_population(fn, noise, rng, cfg.pop_size, cfg.rs,
+                                       cfg.total_eval)
     lo, hi = fn.bounds
     n, d = cfg.pop_size, fn.dimension
-
-    xs = rng.uniform(lo, hi, (n, d))
     vs = np.zeros((n, d))
-    fs = resample_many(fn, xs, cfg.rs, noise, rng, budget)
     pbest = xs.copy()
     pbest_f = fs.copy()
     g = int(np.argmin(fs))
     gbest = xs[g].copy()
     gbest_f = float(fs[g])
 
-    trace = [CycleRecord(0, budget.total_eval, budget.best.best_fitness)]
-    for it in range(1, total_it):
-        w = inertia_weight(it, total_it, cfg.w_start, cfg.w_end)
+    for it in range(1, budget.total_it):
+        w = inertia_weight(it, budget.total_it, cfg.w_start, cfg.w_end)
         phi1 = rng.uniform(cfg.phi_min, cfg.phi_max, (n, d))
         phi2 = rng.uniform(cfg.phi_min, cfg.phi_max, (n, d))
         vs = w * vs + phi1 * (pbest - xs) + phi2 * (gbest - xs)
@@ -179,5 +174,5 @@ def run_pso(fn, noise, cfg, rng):
         if pbest_f[g] < gbest_f:
             gbest_f = float(pbest_f[g])
             gbest = pbest[g].copy()
-        trace.append(CycleRecord(it, budget.total_eval, budget.best.best_fitness))
-    return RunResult.from_budget(budget, trace)
+        budget.end_cycle()
+    return RunResult.from_budget(budget)

@@ -41,6 +41,8 @@ FUNCTION_IDS = tuple(_DEFAULTS)
 # values stay finite; at sigma 1e306 the surrogate's coefficients overflowed.
 # |mu| is held to the same bound: at mu 1e308 they overflowed too, and at
 # mu = +-SIGMA_MAX runs of every algorithm stay finite, sigma 0 or SIGMA_MAX.
+# So is rastrigin1's constant, another additive constant: at 1e308 DPSEA's
+# surrogate coefficients overflowed.
 SIGMA_MAX = float(np.sqrt(np.finfo(np.float64).max)) / 12.3
 
 
@@ -80,6 +82,8 @@ def make_function(name, dimension=None, rastrigin_constant=None):
     """Build a benchmark function by its lowercase string id.
 
     Dimensions default to the standard setup (sphere 5-D, the rest 50-D).
+    A ``rastrigin1`` constant is an additive constant on the fitness, as
+    ``NoiseModel``'s ``mu`` is, and has the same bound ``SIGMA_MAX``.
     """
     if name not in _DEFAULTS:
         raise ValueError(f"unknown function id {name!r}; expected one of {FUNCTION_IDS}")
@@ -90,6 +94,9 @@ def make_function(name, dimension=None, rastrigin_constant=None):
     const = 0.0
     if name == "rastrigin1":
         const = 10.0 * dim if rastrigin_constant is None else float(rastrigin_constant)
+        if not abs(const) <= SIGMA_MAX:
+            raise ValueError(f"need |rastrigin_constant| <= SIGMA_MAX "
+                             f"({SIGMA_MAX:.3g}), got {const}")
     return BenchmarkFunction(name, dim, lo, hi, const)
 
 

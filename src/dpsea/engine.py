@@ -29,8 +29,7 @@ import numpy as np
 from . import _blas, regression
 from .ga import GaParams, evolve_generation
 from .regression import ModelKind
-from .results import CycleRecord, RunResult
-from .stochastics import Budget, check_budget, resample_many
+from .stochastics import Budget, RunResult, check_budget, resample_many
 
 __all__ = [
     "PseudoPopulation",
@@ -176,9 +175,9 @@ def merge_and_resample(genomes, fitness, source, fn, noise, rng, budget, params)
     Every row is scored by ``rs_merge``-fold resampled true fitness except
     the elites that the last GA call copied from an input row (``source >=
     0`` in what it returned), which keep their measured fitness and accrue
-    ``total_unchanged``; only the rescored rows reach the budget's
-    best-so-far tracker. Returns ``fitness``, or ``None`` when the scoring
-    would overrun ``max_total_eval``, charging nothing.
+    ``total_unchanged``; only the rescored rows reach ``budget.offer``.
+    Returns ``fitness``, or ``None`` when the scoring would overrun
+    ``max_total_eval``, charging nothing.
     """
     rs = params.rs_merge
     kept = np.zeros(len(fitness), dtype=bool)
@@ -296,7 +295,7 @@ def run(fn, noise, params, rng):
     GA call copied from its (measured) input. Every cycle records one
     pseudo-population, evolved. The returned best-ever solution is scored
     by the noiseless fitness, which ``resample_many`` computes anyway for
-    every charged point and offers to ``Budget.best``. The run keeps
+    every charged point and offers to ``Budget.offer``. The run keeps
     OpenBLAS on one thread (``_blas.one_thread``), so parallel runs do not
     contend for cores.
     """
@@ -310,7 +309,6 @@ def run(fn, noise, params, rng):
     rates = adaptive_mutation_rate(np.arange(n) / (n - 1) if n > 1 else np.zeros(1),
                                    n, params)
 
-    trace = []
     n_elites = params.ga.n_elites
     main_cost = (n - n_elites) * rs
     # a merge over the cap gives no fitness and ends the run
@@ -332,7 +330,6 @@ def run(fn, noise, params, rng):
                                                      params, rng, generations)
 
         fitness = merge_and_resample(genomes, fitness, source, fn, noise, rng, budget, params)
-        trace.append(CycleRecord(len(trace), budget.total_eval, budget.best.best_fitness,
-                                 n_clusters=1, n_eligible=1))
+        budget.end_cycle(n_clusters=1, n_eligible=1)
 
-    return RunResult.from_budget(budget, trace)
+    return RunResult.from_budget(budget)

@@ -122,8 +122,10 @@ _RULES = {
     "base_seed": ("an integer", _is_int),
     "total_eval": ("null or an integer >= 1",
                    lambda v: v is None or _is_int(v) and v >= 1),
-    "rastrigin_constant": ("null or a finite number",
-                           lambda v: v is None or _is_finite(v)),
+    "rastrigin_constant": (f"null or a finite number in [-{benchmarks.SIGMA_MAX:.3g}, "
+                           f"{benchmarks.SIGMA_MAX:.3g}]",
+                           lambda v: v is None or _is_finite(v)
+                           and abs(v) <= benchmarks.SIGMA_MAX),
     "epsilon": ("an object mapping function ids to finite numbers",
                 lambda v: isinstance(v, dict) and all(
                     k in benchmarks.FUNCTION_IDS and _is_finite(x) for k, x in v.items())),

@@ -1,9 +1,9 @@
-"""Seeded randomness and budgeted resampled fitness.
+"""Seeded randomness, budgeted resampled fitness and a run's record.
 
 The generator is numpy's ``Generator`` on PCG64, and every run owns a
 single stream. ``resample_many`` is the one path that adds Gaussian noise
 to true fitness, and the one place a run computes true fitness: it offers
-those values to the budget's best-so-far tracker.
+those values to the run's ``Budget``, the record a ``RunResult`` reports.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from . import benchmarks
 
 __all__ = [
     "RngState",
-    "BestSoFar",
     "Budget",
+    "CycleRecord",
+    "RunResult",
     "check_budget",
     "resampled_fitness",
     "resample_many",
@@ -46,17 +47,44 @@ class RngState(np.random.Generator):
         return f"RngState(seed={self.seed})"
 
 
-class BestSoFar:
-    """Running minimum of the true (noiseless) fitness of every genome offered.
+@dataclass(frozen=True)
+class CycleRecord:
+    """One switching cycle (or generation, for baselines) of a run trace."""
 
-    Every ``Budget`` holds one (``Budget.best``), and ``resample_many``
-    offers it each charged batch with the true fitness it has already
-    computed; the tracker never evaluates anything.
+    cycle: int
+    total_eval: int
+    best_fitness: float
+    n_clusters: int = 0
+    n_eligible: int = 0
+
+
+@dataclass
+class Budget:
+    """Evaluation accounting and the record of one run.
+
+    ``total_eval`` counts actual noisy-fitness calls; ``total_unchanged``
+    counts the evaluations skipped for carried-over individuals. For the
+    fixed-schedule baselines these satisfy
+    ``pop_size * total_it * rs - total_unchanged == total_eval`` exactly.
+    ``resample_many`` offers every point it charges, with its true fitness,
+    to ``offer``, which keeps the best so far; ``end_cycle`` appends one
+    ``CycleRecord`` to ``trace``. Equality compares the accounting only.
     """
 
-    def __init__(self):
-        self.best_genome = None
-        self.best_fitness = np.inf
+    pop_size: int
+    total_it: int
+    rs: int
+    total_unchanged: int = 0
+    total_eval: int = 0
+    best_genome: np.ndarray | None = field(default=None, repr=False, compare=False)
+    best_fitness: float = field(default=np.inf, repr=False, compare=False)
+    trace: list[CycleRecord] = field(default_factory=list, repr=False, compare=False)
+
+    def charge(self, n):
+        self.total_eval += int(n)
+
+    def skip(self, n):
+        self.total_unchanged += int(n)
 
     def offer(self, xs, values):
         """Keep the row of ``xs`` with the least true fitness ``values`` if it
@@ -68,31 +96,26 @@ class BestSoFar:
             self.best_fitness = float(values[i])
             self.best_genome = np.array(xs[i], copy=True)
 
+    def end_cycle(self, **counts):
+        """Record the cycle just ended, with ``CycleRecord``'s other fields
+        from ``counts``."""
+        self.trace.append(CycleRecord(len(self.trace), self.total_eval,
+                                      self.best_fitness, **counts))
+
 
 @dataclass
-class Budget:
-    """Evaluation accounting for one run.
+class RunResult:
+    """Best-ever solution of a run, scored by the true (noiseless) fitness."""
 
-    ``total_eval`` counts actual noisy-fitness calls; ``total_unchanged``
-    counts the evaluations skipped for carried-over individuals. For the
-    fixed-schedule baselines these satisfy
-    ``pop_size * total_it * rs - total_unchanged == total_eval`` exactly.
-    ``best`` tracks the run's best-so-far: every point charged through
-    ``resample_many`` is offered to it with its true fitness.
-    """
+    best_genome: np.ndarray
+    best_fitness: float
+    budget: Budget
+    trace: list[CycleRecord] = field(default_factory=list)
 
-    pop_size: int
-    total_it: int
-    rs: int
-    total_unchanged: int = 0
-    total_eval: int = 0
-    best: BestSoFar = field(default_factory=BestSoFar, repr=False, compare=False)
-
-    def charge(self, n):
-        self.total_eval += int(n)
-
-    def skip(self, n):
-        self.total_unchanged += int(n)
+    @classmethod
+    def from_budget(cls, budget):
+        """The best so far and the trace that ``budget`` recorded."""
+        return cls(budget.best_genome, budget.best_fitness, budget, budget.trace)
 
 
 def check_budget(total_eval, pop_size, rs):
@@ -111,7 +134,7 @@ def resample_many(fn, xs, rs, noise, rng, budget):
     """Mean of ``rs`` noisy evaluations of each row of ``xs``; charges n*rs.
 
     The true fitness of each row is computed once, here: it is the base of
-    the noisy mean and is offered with the rows to ``budget.best``, so a
+    the noisy mean and is offered with the rows to ``budget.offer``, so a
     run never evaluates a charged point twice.
     """
     if rs < 1:
@@ -119,7 +142,7 @@ def resample_many(fn, xs, rs, noise, rng, budget):
     xs = np.asarray(xs, dtype=np.float64)
     base = benchmarks.evaluate_many(fn, xs)
     budget.charge(xs.shape[0] * rs)
-    budget.best.offer(xs, base)
+    budget.offer(xs, base)
     if noise.sigma == 0.0:
         return base + noise.mu
     draws = rng.normal(noise.mu, noise.sigma, (xs.shape[0], rs))

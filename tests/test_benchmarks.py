@@ -33,6 +33,16 @@ class TestDefaults:
         assert make_function("rastrigin1").rastrigin_constant == 500.0
         assert make_function("rastrigin1", dimension=10).rastrigin_constant == 100.0
 
+    def test_rastrigin_constant_above_the_bound_rejected(self):
+        # an additive constant on the fitness, bounded as NoiseModel's mu: a
+        # DPSEA run at 1e308 raised "regression produced non-finite coefficients"
+        for const in (SIGMA_MAX, -SIGMA_MAX):
+            fn = make_function("rastrigin1", rastrigin_constant=const)
+            assert fn.rastrigin_constant == const
+        for const in (1e308, -1e308, np.nextafter(SIGMA_MAX, np.inf), np.nan):
+            with pytest.raises(ValueError, match="SIGMA_MAX"):
+                make_function("rastrigin1", rastrigin_constant=const)
+
 
 class TestEvaluate:
     def test_sphere_at_origin(self):

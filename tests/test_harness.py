@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dpsea import cli, harness
+from dpsea.benchmarks import SIGMA_MAX
 from dpsea.ga import GaParams
 from dpsea.harness import (
     ConfigError,
@@ -153,6 +154,20 @@ class TestRunExperiment:
             da.pop("wall_ms")
             db.pop("wall_ms")
             assert da == db
+
+    @pytest.mark.parametrize("algo", harness.ALGOS)
+    def test_rastrigin_constant_at_the_bound_stays_finite(self, algo):
+        # the largest constant make_function accepts, either sign: no value
+        # of any algorithm's run overflows; DPSEA fits its initial design at
+        # rs 1 and skips it at rs 5
+        for const in (SIGMA_MAX, -SIGMA_MAX):
+            cfg = ExperimentConfig(function="rastrigin1", dimension=5,
+                                   rastrigin_constant=const, algo=algo, total_eval=2900)
+            for sigma in (0.0, 0.5):
+                for rs in (1, 5):
+                    with np.errstate(over="raise", invalid="raise", divide="raise"):
+                        rec, res = run_single(cfg, sigma, rs, seed=1)
+                    assert np.isfinite(rec.best_true_fitness) and len(res.trace) > 0
 
     def test_parallel_matches_serial(self, monkeypatch):
         cfg = tiny_config(repeats=2)
@@ -532,6 +547,27 @@ class TestCli:
         assert code == 1
         assert err.splitlines() == [err.strip()]
         assert err.startswith("error: invalid configuration: sigmas must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("const", [1e308, -1e308])
+    def test_rastrigin_constant_above_the_bound_exits_1_before_any_run(
+        self, const, tmp_path, capsys, monkeypatch
+    ):
+        # at 1e308 the config passed and the dpsea run died in its surrogate fit
+        def no_run(cfg):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"function": "rastrigin1", "rastrigin_constant": const}))
+        out = tmp_path / "res"
+        code, _, err = self.run_cli([
+            "run", "--config", str(path), "--algo", "dpsea", "--repeats", "1",
+            "--seed", "1", "--total-eval", "12000", "--out", str(out),
+        ], capsys)
+        assert code == 1
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: invalid configuration: rastrigin_constant must be")
         assert not out.exists()
 
     @pytest.mark.parametrize("sigma", ["inf", "0,nan"])

@@ -7,7 +7,9 @@ from dpsea import baselines, engine
 from dpsea.benchmarks import FUNCTION_IDS, NoiseModel, evaluate, make_function
 from dpsea.stochastics import (
     Budget,
+    CycleRecord,
     RngState,
+    RunResult,
     resample_many,
     resampled_fitness,
 )
@@ -58,6 +60,44 @@ class TestBudget:
         b.skip(4)
         assert b.total_eval == 25
         assert b.total_unchanged == 4
+
+    def test_offer_keeps_the_least_and_the_earlier_row_on_a_tie(self):
+        b = Budget(pop_size=3, total_it=1, rs=1)
+        assert b.best_genome is None and b.best_fitness == np.inf
+        xs = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        b.offer(xs, np.array([3.0, 1.0, 1.0]))
+        assert b.best_fitness == 1.0 and b.best_genome.tolist() == [2.0, 3.0]
+        xs[1] = 9.0  # the best is a copy
+        b.offer(xs[::-1], np.array([2.0, 1.0, 5.0]))  # a tie with the best so far
+        assert b.best_fitness == 1.0 and b.best_genome.tolist() == [2.0, 3.0]
+        b.offer(xs[:0], np.empty(0))
+        assert b.best_fitness == 1.0 and b.best_genome.tolist() == [2.0, 3.0]
+        b.offer(xs[2:], np.array([0.5]))
+        assert b.best_fitness == 0.5 and b.best_genome.tolist() == [4.0, 5.0]
+
+    def test_end_cycle_numbers_its_rows_and_passes_counts_through(self):
+        b = Budget(pop_size=2, total_it=0, rs=1)
+        b.end_cycle()
+        b.charge(7)
+        b.offer(np.zeros((1, 2)), np.array([4.0]))
+        b.end_cycle(n_clusters=3, n_eligible=2)
+        assert b.trace == [CycleRecord(0, 0, np.inf), CycleRecord(1, 7, 4.0, 3, 2)]
+
+    def test_equality_ignores_the_best_and_the_trace(self):
+        a, b = Budget(4, 2, 1), Budget(4, 2, 1)
+        a.offer(np.zeros((1, 2)), np.array([1.0]))
+        a.end_cycle()
+        assert a == b and repr(a) == repr(b)
+        b.charge(1)
+        assert a != b
+
+    def test_run_result_trace_is_the_budgets_trace(self):
+        b = Budget(pop_size=2, total_it=0, rs=1)
+        b.offer(np.ones((1, 3)), np.array([2.0]))
+        b.end_cycle()
+        res = RunResult.from_budget(b)
+        assert res.trace is b.trace and res.budget is b
+        assert res.best_fitness == 2.0 and res.best_genome is b.best_genome
 
 
 class TestResampledFitness:
@@ -136,7 +176,7 @@ class TestResampleMany:
     def test_true_fitness_offered_to_the_budgets_tracker(self):
         fn = make_function("sphere", dimension=2)
         budget = Budget(pop_size=3, total_it=1, rs=2)
-        best = budget.best
+        best = budget
         xs = np.array([[3.0, 0.0], [1.0, 1.0], [-1.0, 1.0]])
         resample_many(fn, xs, 2, NoiseModel(0.0, 5.0), RngState(0), budget)
         # the noiseless value is tracked; a tie keeps the earlier row
@@ -176,3 +216,32 @@ def test_one_true_evaluation_per_charged_point(algo, monkeypatch):
     res = runners[algo]()
     assert res.budget.total_eval > 0
     assert sum(rows) * rs == res.budget.total_eval
+
+
+# 5-D sphere runs for each runner; the initial design needs (100 + 480 + 1 +
+# 15) * rs evaluations, so DPSEA at 580 * rs (2.9k at rs 5) skips it
+RECORDED_RUNS = {
+    "dpsea": lambda fn, noise, rs, rng: engine.run(
+        fn, noise, engine.DpseaParams(rs_merge=rs, max_total_eval=1500 * rs), rng),
+    "dpsea-skipdesign": lambda fn, noise, rs, rng: engine.run(
+        fn, noise, engine.DpseaParams(rs_merge=rs, max_total_eval=580 * rs), rng),
+    "cga": lambda fn, noise, rs, rng: baselines.run_cga(
+        fn, noise, baselines.CgaConfig(rs=rs, total_eval=1000 * rs), rng),
+    "de": lambda fn, noise, rs, rng: baselines.run_de(
+        fn, noise, baselines.DeConfig(rs=rs, total_eval=1000 * rs), rng),
+    "pso": lambda fn, noise, rs, rng: baselines.run_pso(
+        fn, noise, baselines.PsoConfig(rs=rs, total_eval=1000 * rs), rng),
+}
+
+
+@pytest.mark.parametrize("rs", [1, 5])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize("algo", list(RECORDED_RUNS))
+def test_the_trace_ends_at_the_budgets_record(algo, sigma, rs):
+    res = RECORDED_RUNS[algo](make_function("sphere"), NoiseModel(0.0, sigma), rs,
+                              RngState(7))
+    assert [r.cycle for r in res.trace] == list(range(len(res.trace)))
+    assert res.trace[-1].total_eval == res.budget.total_eval
+    assert res.trace[-1].best_fitness == res.best_fitness
+    if not algo.startswith("dpsea"):
+        assert len(res.trace) == res.budget.total_it

@@ -22,6 +22,7 @@ box.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -78,10 +79,16 @@ def run_case(c):
     return harness.run_single(cfg, c["sigma"], c["rs"], c["seed"])[1]
 
 
+def _exact(value):
+    return float(value).hex() if isinstance(value, float) else value
+
+
 def digest(res):
-    """SHA-256 of a result's best, budget counters and trace, floats exact."""
-    trace = [(int(r.cycle), int(r.total_eval), float(r.best_fitness).hex(),
-              int(r.n_clusters), int(r.n_eligible)) for r in res.trace]
+    """SHA-256 of a result's best, budget counters and trace, floats exact.
+
+    Each trace row is hashed field by field, whatever fields the imported
+    ``CycleRecord`` has."""
+    trace = [tuple(map(_exact, dataclasses.astuple(r))) for r in res.trace]
     best_genome = [float(x).hex() for x in res.best_genome]
     record = (float(res.best_fitness).hex(), best_genome,
               int(res.budget.total_eval), int(res.budget.total_unchanged), trace)
