@@ -1,6 +1,8 @@
 """Config-driven experiment harness: seeded sweeps over noise levels and
-resampling counts, aggregation into mean/std tables, success-rate analysis,
-and CSV/JSON emission.
+resampling counts, aggregation into mean/std tables and success-rate
+analysis. It owns the experiment's files: the config file's keys and round
+trip (``load_config``, ``write_echo``) and a run directory's runs, summary
+and config.json in each of ``FORMATS`` (``emit``, ``read_run``).
 
 Every run's seed is a documented mix of the base seed and the sweep
 indices, so any single cell can be reproduced in isolation. Output files
@@ -20,7 +22,7 @@ import secrets
 import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 from . import baselines, benchmarks, engine
 from .ga import GaParams
@@ -36,7 +38,6 @@ __all__ = [
     "default_total_eval",
     "derive_seed",
     "build_params",
-    "resolved_settings",
     "run_single",
     "run_experiment",
     "worker_count",
@@ -46,6 +47,9 @@ __all__ = [
     "emit",
     "parse_runs_csv",
     "parse_runs_json",
+    "load_config",
+    "write_echo",
+    "read_run",
 ]
 
 # An algorithm: its parameter dataclass, the module and name of its runner,
@@ -257,18 +261,7 @@ def _total_eval(cfg):
     return cfg.total_eval or default_total_eval(cfg.function, cfg.algo)
 
 
-def resolved_settings(cfg):
-    """What ``cfg``'s runs use where it leaves a default: ``dimension``,
-    ``total_eval`` and the selected algo's block with every key it accepts."""
-    own, ga = _block_keys(cfg.algo)
-    return {
-        "dimension": _build_function(cfg).dimension,
-        "total_eval": _total_eval(cfg),
-        cfg.algo: {**ga, **own, **cfg.params.get(cfg.algo, {})},
-    }
-
-
-def run_single(cfg, sigma, rs, seed):
+def run_single(cfg, sigma, rs, seed, repeat=0):
     """Execute one seeded run of the configured algorithm."""
     fn = _build_function(cfg)
     noise = benchmarks.NoiseModel(0.0, sigma if cfg.noisy else 0.0)
@@ -288,20 +281,26 @@ def run_single(cfg, sigma, rs, seed):
         sigma=float(sigma),
         algo=cfg.algo,
         rs=int(rs),
-        repeat=0,  # caller fills in
+        repeat=repeat,
         seed=int(seed),
         best_true_fitness=float(result.best_fitness),
         total_eval=int(result.budget.total_eval),
-        success=bool(result.best_fitness - opt_value <= cfg.epsilon[cfg.function]),
+        success=_success(result.best_fitness, opt_value, cfg.epsilon[cfg.function]),
         wall_ms=wall_ms,
     ), result
 
 
+def _success(best, optimum_value, epsilon):
+    """``best - optimum_value <= epsilon``, counted only where the float
+    spacing at the optimum resolves ``epsilon``: a large enough constant
+    absorbs the landscape, and a blind run ends at the optimum's value."""
+    return bool(math.ulp(optimum_value) <= epsilon
+                and best - optimum_value <= epsilon)
+
+
 def _run_cell(args):
     cfg, si, sigma, ri, rs, rep = args
-    seed = derive_seed(cfg.base_seed, si, ri, rep)
-    record, _ = run_single(cfg, sigma, rs, seed)
-    return replace(record, repeat=rep)
+    return run_single(cfg, sigma, rs, derive_seed(cfg.base_seed, si, ri, rep), rep)[0]
 
 
 def worker_count():
@@ -356,11 +355,12 @@ def summarize(records):
 
 def success_rate(records, epsilon=None, optimum_value=0.0):
     """Integer success percentage per sigma level: of the ``success`` flags
-    the runs recorded, or, given ``epsilon``, of best - optimum <= epsilon."""
+    the runs recorded or, given ``epsilon``, of ``_success`` against it."""
     out = {}
     for sigma, rows in _cells(records, lambda r: r.sigma):
         wins = sum(r.success if epsilon is None
-                   else r.best_true_fitness - optimum_value <= epsilon for r in rows)
+                   else _success(r.best_true_fitness, optimum_value, epsilon)
+                   for r in rows)
         out[sigma] = round(100.0 * wins / len(rows))
     return out
 
@@ -396,21 +396,19 @@ def csv_text(cls, rows):
 
 
 def emit(records, summaries, fmt, out_dir):
-    """Write runs.{csv,json} and summary.{csv,json} atomically.
+    """Write runs.<fmt> and summary.<fmt> atomically, ``fmt`` a key of
+    ``FORMATS``.
 
     Returns the paths written. Raises ``OSError`` when the output path is
     not writable; no partial files are left behind.
     """
-    _check(fmt in ("csv", "json"), f"unknown output format {fmt!r}")
+    _check(isinstance(fmt, str) and fmt in FORMATS, f"unknown output format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for name, cls, rows in (("runs", RunRecord, records),
                             ("summary", Summary, summaries)):
         path = os.path.join(out_dir, f"{name}.{fmt}")
-        if fmt == "csv":
-            _atomic_write(path, csv_text(cls, rows))
-        else:
-            _atomic_write(path, json.dumps([asdict(r) for r in rows], indent=2))
+        _atomic_write(path, FORMATS[fmt].text(cls, rows))
         paths.append(path)
     return paths
 
@@ -447,3 +445,106 @@ def parse_runs_json(path):
         rows = json.load(fh)
     return [RunRecord(**{f.name: _json_field(row, f) for f in fields(RunRecord)})
             for row in rows]
+
+
+# Output format -> text(cls, rows) of dataclass rows and parse(path) of a
+# runs file. The first is the default, and the first looked for in a run
+# directory whose config.json names none.
+_Format = namedtuple("_Format", "text parse")
+FORMATS = {
+    "csv": _Format(csv_text, parse_runs_csv),
+    "json": _Format(lambda cls, rows: json.dumps([asdict(r) for r in rows], indent=2),
+                    parse_runs_json),
+}
+
+# config-file key -> ExperimentConfig field; a flag of the same name wins
+_FILE_KEYS = {
+    "function": "function", "dimension": "dimension", "noisy": "noisy",
+    "sigma": "sigmas", "algo": "algo", "rs": "rs_list", "repeats": "repeats",
+    "seed": "base_seed", "total_eval": "total_eval",
+    "rastrigin_constant": "rastrigin_constant",
+}
+
+
+def load_config(raw, flags):
+    """``(cfg, out_dir, fmt, entropy)`` from a config-file object and the
+    flags (config key -> value, ``None`` when unset); ``entropy`` is true
+    when no seed was given. An unknown key, a bad value or a bad
+    ``DPSEA_THREADS`` raises ``ConfigError``."""
+    # a flag wins over the file's key, which is popped either way so that
+    # what is left is unknown; null in the file keeps the default
+    raw, values = dict(raw), {}
+    for key in (*_FILE_KEYS, "out", "format"):
+        value, flag = raw.pop(key, None), flags.get(key)
+        values[key] = value if flag is None else flag
+    out_dir = values.pop("out") or "results"
+    fmt = values.pop("format") or next(iter(FORMATS))
+    if not (isinstance(out_dir, str) and isinstance(fmt, str) and fmt in FORMATS):
+        raise ConfigError(f"bad out {out_dir!r} or format {fmt!r}")
+    kwargs = {_FILE_KEYS[k]: v for k, v in values.items() if v is not None}
+    entropy = "base_seed" not in kwargs
+    kwargs.setdefault("base_seed", entropy_seed())
+    success = raw.pop("success", {})
+    if not isinstance(success, dict) or set(success) - {"epsilon"}:
+        raise ConfigError(
+            f"success must be an object whose one key is epsilon, got {success!r}"
+        )
+    cfg = ExperimentConfig(
+        **kwargs,
+        epsilon=success.get("epsilon", {}),
+        params={k: raw.pop(k) for k in ALGOS if k in raw},
+    )
+    if raw:
+        raise ConfigError(f"unknown config keys: {sorted(raw)}")
+    worker_count()  # a bad DPSEA_THREADS fails before any run
+    return cfg, out_dir, fmt, entropy
+
+
+def write_echo(cfg, fmt, out_dir):
+    """Write the config file that reproduces ``cfg``'s runs to config.json
+    under ``out_dir``. Where ``cfg`` leaves a default it holds what the runs
+    use: ``dimension``, ``total_eval`` and the selected algo's every key."""
+    echo = {key: getattr(cfg, name) for key, name in _FILE_KEYS.items()}
+    own, ga = _block_keys(cfg.algo)
+    echo.update({"dimension": _build_function(cfg).dimension,
+                 "total_eval": _total_eval(cfg),
+                 cfg.algo: {**ga, **own, **cfg.params.get(cfg.algo, {})},
+                 "success": {"epsilon": cfg.epsilon}, "format": fmt})
+    _atomic_write(os.path.join(out_dir, "config.json"), json.dumps(echo, indent=2))
+
+
+def read_run(in_dir, epsilon=None):
+    """The records of the run directory ``in_dir``, from the runs file of
+    the format its config.json names (else the first of ``FORMATS``
+    present), and the optimum that ``epsilon`` is measured from: that of
+    config.json's function, 0.0 without ``epsilon``."""
+    path = os.path.join(in_dir, "config.json")
+    echo = None
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            echo = json.load(fh)
+        _check(isinstance(echo, dict), f"{path} must hold a JSON object")
+    recorded = (echo or {}).get("format")
+    formats = tuple(FORMATS) if recorded is None else (recorded,)
+    for fmt in formats:
+        path = os.path.join(in_dir, f"runs.{fmt}")
+        if isinstance(fmt, str) and fmt in FORMATS and os.path.exists(path):
+            break
+    else:
+        names = " or ".join(f"runs.{fmt}" for fmt in formats)
+        raise ConfigError(f"no {names} under {in_dir}")
+    try:
+        records = FORMATS[fmt].parse(path)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path} is not a runs file: missing or bad {exc}") from None
+    _check(records, f"{path} holds no records")
+    if epsilon is None:
+        return records, 0.0
+    _check(math.isfinite(epsilon), f"--epsilon must be a finite number, got {epsilon}")
+    # runs.csv does not hold the function's dimension or constant
+    _check(echo is not None, f"--epsilon needs the run's config.json; none under {in_dir}")
+    keys = ("function", "dimension", "rastrigin_constant")
+    _check(all(k in echo for k in keys),
+           f"the config.json under {in_dir} must hold the keys {keys}")
+    cfg = ExperimentConfig(**{_FILE_KEYS[k]: echo[k] for k in keys})  # checks them
+    return records, benchmarks.optimum(_build_function(cfg))[1]

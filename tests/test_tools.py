@@ -120,6 +120,23 @@ class TestDigests:
             "1 of 2 cases identical",
         ]
 
+    def test_run_dir_cases_digest_stably_and_match_themselves(self, capsys,
+                                                              monkeypatch):
+        digests = load_tool("digests")
+        picked = [c for c in digests.cases(full=False) if "argv" in c]
+        assert sorted(c["name"] for c in picked) == [
+            f"rundir-{algo}-griewank-5d-{fmt}"
+            for algo in ("cga", "dpsea") for fmt in ("csv", "json")]
+        first = [digests.case_digest(c) for c in picked]
+        assert [digests.case_digest(c) for c in picked] == first
+        assert len(set(first)) == len(first)
+        capsys.readouterr()
+
+        monkeypatch.setattr(digests, "cases", lambda full: picked)
+        assert digests.main(["--parent", str(self.ROOT), "--change",
+                             str(self.ROOT), "--quick"]) == 0
+        assert capsys.readouterr().out == "4 of 4 cases identical\n"
+
     def test_quick_dpsea_cases_include_design_skipped_runs(self):
         # every function has a quick case whose budget does not fit the
         # initial design, which then charges only the first population
@@ -130,7 +147,7 @@ class TestDigests:
         digests = load_tool("digests")
         skipped = set()
         for c in digests.cases(full=False):
-            if c["algo"] != "dpsea":
+            if c.get("algo") != "dpsea":  # run-directory cases have no algo key
                 continue
             fn = make_function(c["function"], dimension=c["dimension"])
             params = engine.DpseaParams(max_total_eval=c["budget"], rs_merge=c["rs"])

@@ -4,16 +4,20 @@
 
 Runs every case in a fresh Python process per checkout, with that
 checkout's ``src`` first on ``PYTHONPATH`` (the two sides run side by side).
-A case's digest is the SHA-256 of its ``best_fitness``, ``best_genome``,
-``total_eval``, ``total_unchanged`` and full trace, floats taken exactly.
-Prints one line per case that differs and a count, and exits 1 if any case
-differs.
+A run case's digest is the SHA-256 of its ``best_fitness``, ``best_genome``,
+``total_eval``, ``total_unchanged`` and full trace, floats taken exactly. A
+run-directory case calls ``cli.main(["run", ...])`` and digests the files
+it writes: the runs file without ``wall_ms``, the summary file and the bytes
+of config.json. Prints one line per case that differs and a count, and
+exits 1 if any case differs.
 
 ``--quick`` (a few seconds per side) runs 16 DPSEA cases: the defaults on
 5-D versions of the four functions at sigma 0, 0.5 and 1, and one case per
 function at rs = 5 whose budget does not fit the initial design (the
 functions' own dimensions, 10k evaluations, 2.9k on sphere), plus small
-cGA, DE and PSO runs. The full mode adds the 20 noiseless sphere 90k runs
+cGA, DE and PSO runs, and four run directories: ``dpsea run`` of DPSEA and
+cGA on 5-D griewank over sigma 0, 0.5 x rs 1, 5, in csv and in json. The
+full mode adds the 20 noiseless sphere 90k runs
 of acceptance criterion 1 and the 30 sigma-1 sphere 90k runs of criterion
 2, where estimates near 1e-20 decide orderings; it took 75 s on a 2-core
 box.
@@ -22,12 +26,15 @@ box.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 # budgets at rs = 5 that the initial design does not fit in, at each
@@ -47,6 +54,15 @@ def case(algo, function, sigma, budget, seed, *, dimension=5, rs=1, tag="default
             "seed": seed}
 
 
+def run_dir_case(algo, fmt):
+    """One ``dpsea run`` on 5-D griewank (the dimension comes from a config
+    file), written in format ``fmt``."""
+    argv = ["run", "--algo", algo, "--function", "griewank", "--sigma", "0,0.5",
+            "--rs", "1,5", "--repeats", "2", "--seed", "7", "--total-eval", "6000",
+            "--format", fmt]
+    return {"name": f"rundir-{algo}-griewank-5d-{fmt}", "argv": argv, "format": fmt}
+
+
 def cases(full):
     """Every case of the chosen mode, in a fixed order."""
     out = [case("dpsea", function, sigma, 6000, 8 + 3 * j + i)
@@ -60,6 +76,7 @@ def cases(full):
         case("de", "rastrigin1", 0.5, 5000, 3),
         case("pso", "rosenbrock", 0.5, 5000, 4),
     ]
+    out += [run_dir_case(algo, fmt) for algo in ("dpsea", "cga") for fmt in ("csv", "json")]
     if full:
         out += [case("dpsea", "sphere", 0.0, 90_000, s, tag="criterion1")
                 for s in range(20)]
@@ -95,12 +112,41 @@ def digest(res):
     return hashlib.sha256(repr(record).encode()).hexdigest()
 
 
+def run_dir_digest(c):
+    """SHA-256 of the files ``dpsea run`` writes for a run-directory case:
+    the runs file without ``wall_ms``, the summary file and config.json."""
+    from dpsea import cli
+
+    fmt = c["format"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config, out = tmp / "config-in.json", tmp / "out"
+        config.write_text(json.dumps({"dimension": 5}))
+        with contextlib.redirect_stdout(io.StringIO()):  # the paths written
+            code = cli.main([*c["argv"], "--config", str(config), "--out", str(out)])
+        if code != 0:
+            raise RuntimeError(f"{c['name']}: dpsea run exited {code}")
+        runs = (out / f"runs.{fmt}").read_text()
+        if fmt == "csv":  # wall_ms is the last column
+            runs = [line.rsplit(",", 1)[0] for line in runs.splitlines()]
+        else:
+            runs = [{k: v for k, v in row.items() if k != "wall_ms"}
+                    for row in json.loads(runs)]
+        record = (runs, (out / f"summary.{fmt}").read_text(),
+                  (out / "config.json").read_bytes())
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+def case_digest(c):
+    return run_dir_digest(c) if "argv" in c else digest(run_case(c))
+
+
 def worker():
     """Digest the cases read as JSON from stdin; print ``{name: digest}``."""
     import dpsea
 
     out = {"dpsea": dpsea.__file__}
-    out.update((c["name"], digest(run_case(c))) for c in json.load(sys.stdin))
+    out.update((c["name"], case_digest(c)) for c in json.load(sys.stdin))
     print(json.dumps(out))
 
 
