@@ -11,9 +11,9 @@ from .benchmarks import (
     optimum,
 )
 from .baselines import CgaConfig, DeConfig, PsoConfig, run_cga, run_de, run_pso
-from .engine import DpseaParams, PseudoPopulation, run
+from .engine import DpseaParams, run
 from .ga import GaParams
-from .regression import ModelKind, RegressionModel, fit, predict, select_kind
+from .regression import ModelKind, RegressionModel, fit, select_kind
 from .stochastics import Budget, CycleRecord, RngState, RunResult, resampled_fitness
 
 __version__ = "0.1.0"
@@ -31,13 +31,11 @@ __all__ = [
     "run_de",
     "run_pso",
     "DpseaParams",
-    "PseudoPopulation",
     "run",
     "GaParams",
     "ModelKind",
     "RegressionModel",
     "fit",
-    "predict",
     "select_kind",
     "CycleRecord",
     "RunResult",

@@ -35,7 +35,6 @@ __all__ = [
     "Summary",
     "DEFAULT_EPSILON",
     "TABLE_BUDGETS",
-    "default_total_eval",
     "derive_seed",
     "build_params",
     "run_single",
@@ -86,11 +85,6 @@ SIGMA_SWEEP = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9]
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def default_total_eval(function, algo):
-    key = "dpsea" if algo == "dpsea" else "baseline"
-    return TABLE_BUDGETS[key][function]
 
 
 def _check(ok, message):
@@ -208,10 +202,6 @@ def derive_seed(base_seed, sigma_index, rs_index, repeat):
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
 
 
-def entropy_seed():
-    return secrets.randbits(63)
-
-
 def _block_keys(algo):
     """Defaults of the block keys set on ``algo``'s dataclass, and of those
     that go into its ``GaParams`` (none when it has no ``ga`` field)."""
@@ -258,7 +248,8 @@ def _build_function(cfg):
 
 
 def _total_eval(cfg):
-    return cfg.total_eval or default_total_eval(cfg.function, cfg.algo)
+    key = "dpsea" if cfg.algo == "dpsea" else "baseline"
+    return cfg.total_eval or TABLE_BUDGETS[key][cfg.function]
 
 
 def run_single(cfg, sigma, rs, seed, repeat=0):
@@ -483,7 +474,7 @@ def load_config(raw, flags):
         raise ConfigError(f"bad out {out_dir!r} or format {fmt!r}")
     kwargs = {_FILE_KEYS[k]: v for k, v in values.items() if v is not None}
     entropy = "base_seed" not in kwargs
-    kwargs.setdefault("base_seed", entropy_seed())
+    kwargs.setdefault("base_seed", secrets.randbits(63))
     success = raw.pop("success", {})
     if not isinstance(success, dict) or set(success) - {"epsilon"}:
         raise ConfigError(

@@ -23,7 +23,6 @@ __all__ = [
     "select_kind",
     "fit",
     "fit_rated",
-    "predict",
     "predict_many",
     "minimize",
 ]
@@ -41,19 +40,12 @@ class RegressionModel:
 
     ``coefficients`` are in original coordinates, laid out as
     ``[b0]``, ``[b0, b1..bD]`` or ``[b0, b1..bD, g1..gD]`` depending on
-    ``kind``. ``center``/``scale`` record the standardization used during
-    fitting (kept for inspection; prediction does not need them).
+    ``kind``, on ``dimension`` coordinates.
     """
 
     kind: ModelKind
     coefficients: np.ndarray
-    lam: float
-    center: np.ndarray
-    scale: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.center.shape[0]
+    dimension: int
 
 
 def select_kind(sample_count, d):
@@ -127,7 +119,7 @@ def fit(xs, ys, kind, lam):
         a = np.vstack([a, pen])
         ys = np.concatenate([ys, np.zeros(p - 1)])
     beta, *_ = np.linalg.lstsq(a, ys, rcond=None)
-    return _model(beta, kind, lam, center, scale)
+    return _model(beta, kind, center, scale)
 
 
 def fit_rated(xs, ys, kind, lam):
@@ -159,7 +151,7 @@ def fit_rated(xs, ys, kind, lam):
         return fit(xs, ys, kind, lam), 0.0
     w = inv @ a.T
     wy = w @ ys
-    model = _model(inv.T @ wy, kind, lam, center, scale)
+    model = _model(inv.T @ wy, kind, center, scale)
     n = ys.shape[0]
     if n < 3 or np.all(ys == ys[0]):
         return model, 0.0
@@ -193,7 +185,7 @@ def _tril_inv(low):
     return out
 
 
-def _model(beta, kind, lam, center, scale):
+def _model(beta, kind, center, scale):
     """The model of standardized-space coefficients ``beta``, mapped back
     to original coordinates."""
     d = center.shape[0]
@@ -210,7 +202,7 @@ def _model(beta, kind, lam, center, scale):
         coef = np.concatenate([[const], lin, quad])
     if not np.all(np.isfinite(coef)):
         raise ValueError("regression produced non-finite coefficients")
-    return RegressionModel(kind, coef, float(lam), center, scale)
+    return RegressionModel(kind, coef, d)
 
 
 def predict_many(model, xs):
@@ -226,14 +218,6 @@ def predict_many(model, xs):
     if model.kind is ModelKind.DIAG_QUADRATIC:
         out += (xs * xs) @ c[d + 1 :]
     return out
-
-
-def predict(model, x):
-    """Model value at a single point; pure and deterministic."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.dimension:
-        raise ValueError(f"expected a length-{model.dimension} vector, got shape {x.shape}")
-    return float(predict_many(model, x[None, :])[0])
 
 
 def minimize(model, lower, upper):

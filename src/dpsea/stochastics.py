@@ -119,8 +119,12 @@ class RunResult:
 
 
 def check_budget(total_eval, pop_size, rs):
-    """Raise ``ValueError`` unless ``total_eval`` covers scoring the first
-    population: ``pop_size`` points, ``rs`` evaluations each."""
+    """Raise ``ValueError`` unless ``pop_size`` and ``rs`` are at least 1 and
+    ``total_eval`` covers scoring the first population: ``pop_size`` points,
+    ``rs`` evaluations each. Every algorithm's parameters call it, so these
+    are their one lower limits on ``pop_size`` and ``rs``."""
+    if pop_size < 1 or rs < 1:
+        raise ValueError(f"pop_size and rs must be >= 1, got pop_size={pop_size}, rs={rs}")
     if total_eval < pop_size * rs:
         raise ValueError(f"budget {total_eval} is below pop_size={pop_size} x rs={rs}")
 

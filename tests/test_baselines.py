@@ -46,6 +46,18 @@ class TestConfigs:
             with pytest.raises(ValueError, match=name):
                 PsoConfig(**{name: bad})
 
+    @pytest.mark.parametrize("make", [
+        lambda: PsoConfig(pop_size=0),
+        lambda: CgaConfig(rs=0),
+        lambda: DeConfig(rs=0),
+        lambda: PsoConfig(rs=0),
+    ])
+    def test_pop_size_and_rs_below_1_rejected(self, make):
+        # check_budget sets these limits for every algorithm; PSO at
+        # pop_size 0 once died in its run with ZeroDivisionError
+        with pytest.raises(ValueError, match="pop_size and rs must be >= 1"):
+            make()
+
     def test_infeasible_budget_rejected(self):
         # rejected on construction: the first population costs pop_size * rs
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,28 +108,31 @@ class TestSelfOrganize:
             self_organize(*make_pop(np.zeros((3, 2))), fn, radius_fraction=-0.1)
 
 
+def rate_table(pop_size, p_m=0.3):
+    return adaptive_mutation_rate(
+        DpseaParams(ga=GaParams(pop_size=pop_size, n_elites=0, p_m=p_m)))
+
+
 class TestAdaptiveMutationRate:
     def test_hand_values(self):
-        params = small_params()  # ga.p_m = 0.3
-        # best member of a pseudo-population of size 5: 0.3 * 0.5 * 1 = 0.15
-        assert adaptive_mutation_rate(0.0, 5, params) == pytest.approx(0.15)
+        # best member of a population of size 5: 0.3 * 0.5 * 1 = 0.15
+        assert rate_table(5)[0] == pytest.approx(0.15)
         # worst member: 0.3 * 1.5 * 1 = 0.45
-        assert adaptive_mutation_rate(1.0, 5, params) == pytest.approx(0.45)
+        assert rate_table(5)[-1] == pytest.approx(0.45)
         # size 20: sqrt(5/20) = 0.5 -> 0.3 * 1.5 * 0.5 = 0.225
-        assert adaptive_mutation_rate(1.0, 20, params) == pytest.approx(0.225)
+        assert rate_table(20)[-1] == pytest.approx(0.225)
 
     def test_clamped(self):
-        params = small_params()
-        assert adaptive_mutation_rate(0.0, 500, params) == 0.05
-        big = DpseaParams(ga=GaParams(pop_size=20, n_elites=2, p_m=1.0))
-        assert adaptive_mutation_rate(1.0, 5, big) == 1.0
+        assert rate_table(500)[0] == 0.05
+        assert rate_table(5, p_m=1.0)[-1] == 1.0
 
-    def test_validation(self):
-        params = small_params()
-        with pytest.raises(ValueError):
-            adaptive_mutation_rate(1.5, 5, params)
-        with pytest.raises(ValueError):
-            adaptive_mutation_rate(0.5, 0, params)
+    @pytest.mark.parametrize("n", [1, 2, 5, 100, 500])
+    def test_table_bit_for_bit(self, n):
+        # the expression in this order, rank fraction k / (n - 1), 0 at n = 1
+        r = np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
+        want = np.clip(0.3 * (0.5 + r) * math.sqrt(engine.S_MIN / n), 0.05, 1.0)
+        got = rate_table(n)
+        assert got.shape == (n,) and np.array_equal(got, want)
 
 
 def fitted_population(fn, params, n=8):
@@ -138,8 +143,7 @@ def fitted_population(fn, params, n=8):
     pop = make_pop(genomes, np.sum(genomes**2, axis=1))
     kind = regression.select_kind(n, fn.dimension)
     model, _ = regression.fit_rated(*pop, kind, params.regression_lambda)
-    fracs = np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
-    return pop, model, adaptive_mutation_rate(fracs, n, params)
+    return pop, model, adaptive_mutation_rate(params)
 
 
 class TestEvolvePseudo:
@@ -163,10 +167,9 @@ class TestEvolvePseudo:
         pop, model, rates = fitted_population(fn, params)
         genomes, fitness, source = evolve_pseudo(*pop, model, rates, fn, params,
                                                  RngState(1))
-        from dpsea.regression import predict
-
         for i in range(2, 8):
-            assert fitness[i] == pytest.approx(predict(model, genomes[i]))
+            assert fitness[i] == pytest.approx(
+                regression.predict_many(model, genomes[i][None])[0])
         # after one generation both elites are input rows and keep their
         # measured fitness
         assert len(source) == 2 and (source >= 0).all()
@@ -212,7 +215,7 @@ class TestEvolvePseudo:
         genomes, fitness, source = evolve_pseudo(*pop, model, rates, fn, params,
                                                  RngState(0))
         assert genomes.shape == (1, 2) and len(source) == 0
-        assert fitness[0] == pytest.approx(regression.predict(model, genomes[0]))
+        assert fitness[0] == pytest.approx(regression.predict_many(model, genomes[:1])[0])
 
 
 def spy_on_steps(monkeypatch, fidelity=None):
@@ -271,6 +274,20 @@ class TestSurrogateGenerations:
         for k, (_, generations, calls) in enumerate(steps):
             assert generations == cases[k % len(cases)][1]
             assert calls == (generations > 0)  # one call per step that earns any
+
+    def test_t_switch_bounded(self):
+        with pytest.raises(ValueError, match="t_switch"):
+            small_params(t_switch=engine.T_SWITCH_MAX + 1)
+
+    def test_run_at_the_t_switch_bound_finishes(self, monkeypatch):
+        # surrogate generations cost no evaluation: only the bound keeps a
+        # step's time finite
+        steps = spy_on_steps(monkeypatch)
+        params = DpseaParams(t_switch=engine.T_SWITCH_MAX, max_total_eval=3000)
+        res = run(make_function("sphere"), NoiseModel(0.0, 0.0), params, RngState(2))
+        assert len(steps) == len(res.trace) > 5
+        assert max(g for _, g, _ in steps) == engine.T_SWITCH_MAX
+        assert res.budget.total_eval <= 3000
 
 
 class TestMergeAndResample:

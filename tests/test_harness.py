@@ -507,6 +507,10 @@ class TestCli:
         {"regression": {"lambda": 1e-4}},
         {"format": "yaml"},
         {"dpsea": {"max_clusters": 4}},
+        {"dpsea": {"t_switch": 101}},  # engine.T_SWITCH_MAX + 1
+        # a zero population once died in the run with ZeroDivisionError
+        {"pso": {"pop_size": 0}},
+        {"algo": "pso", "pso": {"pop_size": 0}},
     ])
     def test_malformed_value_exits_1_before_any_run(
         self, bad, tmp_path, capsys, monkeypatch

@@ -10,7 +10,6 @@ from dpsea.regression import (
     fit,
     fit_rated,
     minimize,
-    predict,
     predict_many,
     select_kind,
 )
@@ -78,7 +77,7 @@ def reference_fit_rated(xs, ys, kind, lam):
     inv = np.linalg.inv(np.linalg.cholesky(a.T @ a + np.diag(pen)))
     w = inv @ a.T
     wy = w @ ys
-    coef = _model(inv.T @ wy, kind, lam, center, scale).coefficients
+    coef = _model(inv.T @ wy, kind, center, scale).coefficients
     n = ys.shape[0]
     leverage = np.einsum("ij,ij->j", w, w)
     loo = ys - (ys - w.T @ wy) / np.maximum(1.0 - leverage, 1e-12)
@@ -178,7 +177,8 @@ class TestDegenerateSamples:
         for kind in ModelKind:
             model = fit(xs, ys, kind, lam=1e-8)
             assert np.all(np.isfinite(model.coefficients))
-            assert predict(model, np.array([1.0, 2.0])) == pytest.approx(7.0, abs=1e-6)
+            got = predict_many(model, np.array([[1.0, 2.0]]))[0]
+            assert got == pytest.approx(7.0, abs=1e-6)
 
     def test_constant_coordinate_stays_finite(self):
         rng = np.random.default_rng(3)
@@ -231,7 +231,7 @@ class TestShrinkage:
 
 class TestMinimize:
     def _model(self, kind, coef, d):
-        return RegressionModel(kind, np.asarray(coef, float), 0.0, np.zeros(d), np.ones(d))
+        return RegressionModel(kind, np.asarray(coef, float), d)
 
     def test_convex_vertex_and_clipping(self):
         # 1 + (x0 - 2)^2 + (x1 + 7)^2 on [-5, 5]^2: vertex 2, clipped -5
@@ -283,7 +283,7 @@ class TestFitRated:
             want = oracle_fit(xs, ys, kind, lam)
             rel = np.abs(model.coefficients - want) / np.maximum(np.abs(want), 1.0)
             assert np.all(rel < 1e-8), (trial, kind, lam)
-            assert (model.kind, model.lam) == (kind, lam)
+            assert model.kind == kind
 
     def test_matches_oracle_on_a_clustered_50d_archive(self):
         # a tight cluster in a wide domain, as a 50-D run's archives are
@@ -311,14 +311,14 @@ class TestFitRated:
         for kind in ModelKind:
             model, fidelity = fit_rated(dup, np.full(8, 3.0), kind, 1e-8)
             assert np.all(np.isfinite(model.coefficients))
-            assert predict(model, np.array([1.0, 2.0])) == pytest.approx(3.0)
+            assert predict_many(model, np.array([[1.0, 2.0]]))[0] == pytest.approx(3.0)
             assert fidelity == 0.0  # constant ys
 
     def test_too_few_samples_rate_zero(self):
         xs = np.array([[0.0], [1.0]])
         model, fidelity = fit_rated(xs, np.array([1.0, 3.0]), ModelKind.LINEAR, 1e-6)
         assert fidelity == 0.0
-        assert predict(model, np.array([0.5])) == pytest.approx(2.0, abs=1e-5)
+        assert predict_many(model, np.array([[0.5]]))[0] == pytest.approx(2.0, abs=1e-5)
 
     def test_validates_like_fit(self):
         with pytest.raises(ValueError):
@@ -352,7 +352,8 @@ class TestLooRankCorrelation:
                              (xs, ys, ModelKind.DIAG_QUADRATIC),
                              (xs50, ys50, ModelKind.DIAG_QUADRATIC)):
             loo = np.array([
-                predict(fit(np.delete(xs, i, 0), np.delete(ys, i), kind, 0.0), xs[i])
+                predict_many(fit(np.delete(xs, i, 0), np.delete(ys, i), kind, 0.0),
+                             xs[i][None])[0]
                 for i in range(len(ys))
             ])
             want = np.corrcoef(self._rank(loo), self._rank(ys))[0, 1]
@@ -462,4 +463,4 @@ class TestValidation:
     def test_predict_dimension_checked(self):
         model = fit(np.zeros((3, 2)), np.zeros(3), ModelKind.CONSTANT, 1e-6)
         with pytest.raises(ValueError):
-            predict(model, np.zeros(3))
+            predict_many(model, np.zeros((1, 3)))
