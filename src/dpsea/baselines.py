@@ -9,11 +9,11 @@ report the best solution found, scored by the true (noiseless) fitness.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .benchmarks import SIGMA_MAX
 from .ga import GaParams, evolve_generation
 from .stochastics import Budget, RunResult, check_budget, resample_many
 
@@ -44,8 +44,12 @@ class DeConfig:
             raise ValueError("DE needs pop_size >= 4")
         if not 0.0 <= self.cf <= 1.0:
             raise ValueError("cf must be in [0, 1]")
-        if not math.isfinite(self.f_scale):
-            raise ValueError("f_scale must be finite")
+        # a mutant's step is f_scale times a difference of two points, at
+        # most the domain's width (1200 on griewank): at |f_scale| <=
+        # SIGMA_MAX it stays finite; at 1e308 it overflowed
+        if not abs(self.f_scale) <= SIGMA_MAX:
+            raise ValueError(f"need |f_scale| <= SIGMA_MAX ({SIGMA_MAX:.3g}), "
+                             f"got {self.f_scale}")
         check_budget(self.total_eval, self.pop_size, self.rs)
 
 
@@ -60,9 +64,14 @@ class PsoConfig:
     total_eval: int = 100_000
 
     def __post_init__(self):
-        for name in ("w_start", "w_end", "phi_min", "phi_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        # with |w| <= 1 and each velocity weight at most phi = max(|phi_min|,
+        # |phi_max|) <= SIGMA_MAX, a velocity grows by at most 2 phi (hi - lo)
+        # per iteration, so after t iterations |v| <= 2 t phi (hi - lo) stays
+        # finite; at w 2 it doubled each iteration and overflowed
+        for name, most in (("w_start", 1.0), ("w_end", 1.0),
+                           ("phi_min", SIGMA_MAX), ("phi_max", SIGMA_MAX)):
+            if not abs(getattr(self, name)) <= most:
+                raise ValueError(f"need |{name}| <= {most:.3g}, got {getattr(self, name)}")
         if self.w_end > self.w_start:
             raise ValueError("w_end must not exceed w_start")
         if self.phi_min > self.phi_max:

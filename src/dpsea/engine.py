@@ -180,7 +180,7 @@ def merge_and_resample(genomes, fitness, source, fn, noise, rng, budget, params)
     rs = params.rs_merge
     kept = np.zeros(len(fitness), dtype=bool)
     kept[: len(source)] = source >= 0
-    to_eval = np.flatnonzero(~kept)
+    to_eval = (~kept).nonzero()[0]
     if budget.total_eval + len(to_eval) * rs > params.max_total_eval:
         return None
     budget.skip((len(fitness) - len(to_eval)) * rs)
@@ -308,6 +308,8 @@ def run(fn, noise, params, rng):
 
     n_elites = params.ga.n_elites
     main_cost = (n - n_elites) * rs
+    # every step fits the n rows before the main generation and its offspring
+    kind = regression.select_kind(2 * n - n_elites, fn.dimension)
     # a merge over the cap gives no fitness and ends the run
     while fitness is not None and budget.total_eval + main_cost <= params.max_total_eval:
         # main-population generation on resampled true fitness
@@ -319,7 +321,6 @@ def run(fn, noise, params, rng):
 
         xs = np.concatenate([prev_genomes, genomes[n_elites:]])
         ys = np.concatenate([prev_fitness, fitness[n_elites:]])
-        kind = regression.select_kind(len(ys), fn.dimension)
         model, fidelity = regression.fit_rated(xs, ys, kind, params.regression_lambda)
         generations = round(params.t_switch * max(0.0, fidelity))
         if generations:

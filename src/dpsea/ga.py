@@ -101,13 +101,14 @@ def evolve_generation(
     source = np.arange(n)
 
     for _ in range(generations):
-        order = np.argsort(fitness, kind="stable")
+        order = fitness.argsort(kind="stable")
         rank[order] = ranks
         elites = order[:n_elites]
 
         # binary tournaments: (pair, parent slot, draw); the lower rank wins
         draws = rng.integers(0, n, (n_pairs, 2, 2))
-        won = rank[draws].min(axis=-1)  # (n_pairs, 2)
+        drawn = rank[draws]
+        won = np.minimum(drawn[..., 0], drawn[..., 1])  # (n_pairs, 2)
         parents = genomes[order[won]]
 
         u_cross = rng.random(n_pairs)
@@ -116,14 +117,15 @@ def evolve_generation(
         np.multiply(alphas, parents, out=pairs)
         np.multiply(1 - alphas, parents[:, ::-1], out=other)
         pairs += other
-        uncrossed = u_cross >= params.p_c
-        if uncrossed.any():
-            pairs[uncrossed] = parents[uncrossed]
+        if params.p_c < 1:  # a uniform in [0, 1) never reaches p_c = 1
+            uncrossed = u_cross >= params.p_c
+            if uncrossed.any():
+                pairs[uncrossed] = parents[uncrossed]
 
         mask_u = rng.random((n_off, d))
         if params.sigma_m > 0:
             child_rates = params.p_m if rates is None else rates[won.reshape(-1)[:n_off], None]
-            mutated = np.flatnonzero(mask_u < child_rates)
+            mutated = (mask_u < child_rates).ravel().nonzero()[0]
             flat_children[mutated] += rng.normal(0.0, step, mutated.size)
         np.maximum(children, bounds[0], out=children)
         np.minimum(children, bounds[1], out=children)

@@ -68,21 +68,26 @@ def _design_matrix(xs, kind):
     spread (spread of a degenerate coordinate taken as 1).
 
     Returns ``(a, center, scale)``: the ``(n, p)`` design matrix and the
-    standardization used. ``scale`` is ``xs.std(axis=0)`` bit for bit,
-    taken from the deviations the design needs anyway.
+    standardization used. ``center`` and ``scale`` are ``xs.mean(axis=0)``
+    and ``xs.std(axis=0)`` bit for bit: the one ``np.add`` reduction each
+    of those reduces to, the latter over the deviations the design needs
+    anyway.
     """
     n, d = xs.shape
-    center = xs.mean(axis=0)
+    center = np.add.reduce(xs, 0) / n
     dev = xs - center
-    scale = np.sqrt((dev * dev).sum(axis=0) / n)
+    scale = np.sqrt(np.add.reduce(dev * dev, 0) / n)
     scale[scale == 0.0] = 1.0
-    cols = {ModelKind.CONSTANT: 1, ModelKind.LINEAR: d + 1,
-            ModelKind.DIAG_QUADRATIC: 2 * d + 1}[kind]
-    a = np.empty((n, cols))
+    linear = kind is not ModelKind.CONSTANT
+    quadratic = kind is ModelKind.DIAG_QUADRATIC
+    a = np.empty((n, 1 + d * linear + d * quadratic))
     a[:, 0] = 1.0
-    if kind is not ModelKind.CONSTANT:
-        z = np.divide(dev, scale, out=a[:, 1 : d + 1])
-        if kind is ModelKind.DIAG_QUADRATIC:
+    if linear:
+        # z is built contiguous and copied in: dividing straight into a's
+        # strided columns took longer
+        z = dev / scale
+        a[:, 1 : d + 1] = z
+        if quadratic:
             np.multiply(z, z, out=a[:, d + 1 :])
     return a, center, scale
 
@@ -95,7 +100,7 @@ def _checked(xs, ys, lam):
         raise ValueError("expected xs of shape (n, D) and ys of shape (n,)")
     if xs.shape[0] < 1:
         raise ValueError("samples must be nonempty")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("samples contain non-finite values")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -153,7 +158,7 @@ def fit_rated(xs, ys, kind, lam):
     wy = w @ ys
     model = _model(inv.T @ wy, kind, center, scale)
     n = ys.shape[0]
-    if n < 3 or np.all(ys == ys[0]):
+    if n < 3 or (ys == ys[0]).all():
         return model, 0.0
     leverage = np.einsum("ij,ij->j", w, w)
     loo = ys - (ys - w.T @ wy) / np.maximum(1.0 - leverage, 1e-12)
@@ -161,8 +166,8 @@ def fit_rated(xs, ys, kind, lam):
     # them is exactly 1 - 6 sum(d^2) / (n (n^2 - 1))
     ranks = np.arange(n)
     d = np.empty(n, dtype=np.intp)
-    d[np.argsort(loo, kind="stable")] = ranks
-    d[np.argsort(ys, kind="stable")] -= ranks
+    d[loo.argsort(kind="stable")] = ranks
+    d[ys.argsort(kind="stable")] -= ranks
     return model, 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
 
 
@@ -187,20 +192,22 @@ def _tril_inv(low):
 
 def _model(beta, kind, center, scale):
     """The model of standardized-space coefficients ``beta``, mapped back
-    to original coordinates."""
+    to original coordinates, written into one array in ``coefficients``'
+    layout."""
     d = center.shape[0]
     if kind is ModelKind.CONSTANT:
         coef = beta.copy()
     elif kind is ModelKind.LINEAR:
-        lin = beta[1:] / scale
-        coef = np.concatenate([[beta[0] - np.dot(lin, center)], lin])
+        coef = np.empty(d + 1)
+        lin = np.divide(beta[1:], scale, out=coef[1:])
+        coef[0] = beta[0] - np.dot(lin, center)
     else:
-        bl = beta[1 : d + 1]
-        quad = beta[d + 1 :] / (scale * scale)
-        lin = bl / scale - 2.0 * quad * center
-        const = beta[0] - np.dot(bl / scale, center) + np.dot(quad, center * center)
-        coef = np.concatenate([[const], lin, quad])
-    if not np.all(np.isfinite(coef)):
+        coef = np.empty(2 * d + 1)
+        bl = beta[1 : d + 1] / scale
+        quad = np.divide(beta[d + 1 :], scale * scale, out=coef[d + 1 :])
+        np.subtract(bl, 2.0 * quad * center, out=coef[1 : d + 1])
+        coef[0] = beta[0] - np.dot(bl, center) + np.dot(quad, center * center)
+    if not np.isfinite(coef).all():
         raise ValueError("regression produced non-finite coefficients")
     return RegressionModel(kind, coef, d)
 

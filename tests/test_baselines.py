@@ -13,7 +13,7 @@ from dpsea.baselines import (
     run_de,
     run_pso,
 )
-from dpsea.benchmarks import NoiseModel, evaluate, make_function
+from dpsea.benchmarks import FUNCTION_IDS, SIGMA_MAX, NoiseModel, evaluate, make_function
 from dpsea.ga import GaParams
 from dpsea.stochastics import RngState
 
@@ -57,6 +57,43 @@ class TestConfigs:
         # pop_size 0 once died in its run with ZeroDivisionError
         with pytest.raises(ValueError, match="pop_size and rs must be >= 1"):
             make()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"w_start": 2.0, "w_end": 2.0},  # the velocity doubled until it overflowed
+        {"w_start": 1e308},
+        {"w_start": np.nextafter(1.0, 2.0)},
+        {"w_end": -1.5},
+        {"phi_max": 1e300},
+        {"phi_min": -1e300},
+        {"phi_max": np.nextafter(SIGMA_MAX, np.inf)},
+    ])
+    def test_pso_inertia_and_phi_bounded(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            PsoConfig(**kwargs)
+
+    def test_pso_bounds_accepted(self):
+        cfg = PsoConfig(w_start=1.0, w_end=-1.0, phi_min=-SIGMA_MAX, phi_max=SIGMA_MAX)
+        assert (cfg.w_start, cfg.phi_max) == (1.0, SIGMA_MAX)
+
+    @pytest.mark.parametrize("f_scale", [1e308, -1e308, np.nextafter(SIGMA_MAX, np.inf)])
+    def test_de_f_scale_bounded(self, f_scale):
+        # at 1e308 the mutant overflowed
+        with pytest.raises(ValueError, match="f_scale"):
+            DeConfig(f_scale=f_scale)
+        assert DeConfig(f_scale=-SIGMA_MAX).f_scale == -SIGMA_MAX
+
+    @pytest.mark.parametrize("name", FUNCTION_IDS)
+    def test_runs_at_the_bounds_stay_finite(self, name):
+        fn = make_function(name, dimension=5)
+        noise = NoiseModel(0.0, 0.5)
+        pso = PsoConfig(w_start=1.0, w_end=-1.0, phi_min=-SIGMA_MAX, phi_max=SIGMA_MAX,
+                        total_eval=3000)
+        with np.errstate(over="raise", invalid="raise"):
+            results = [run_pso(fn, noise, pso, RngState(1))]
+            for f_scale in (SIGMA_MAX, -SIGMA_MAX):
+                de = DeConfig(f_scale=f_scale, total_eval=3000)
+                results.append(run_de(fn, noise, de, RngState(1)))
+        assert all(np.isfinite(r.best_fitness) for r in results)
 
     def test_infeasible_budget_rejected(self):
         # rejected on construction: the first population costs pop_size * rs

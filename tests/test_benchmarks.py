@@ -13,6 +13,25 @@ from dpsea.benchmarks import (
 from dpsea.stochastics import Budget, RngState, resample_many
 
 
+def reference_evaluate_many(fn, xs):
+    """The four functions by ``np.sum`` and ``np.prod``, which
+    ``evaluate_many`` must match bit for bit."""
+    if fn.name == "sphere":
+        return np.sum(xs * xs, axis=1)
+    if fn.name == "griewank":
+        z = xs - 100.0
+        s = np.sum(z * z, axis=1) / 4000.0
+        p = np.prod(np.cos(z / np.sqrt(np.arange(1, fn.dimension + 1))), axis=1)
+        return s - p + 1.0
+    if fn.name == "rastrigin1":
+        return fn.rastrigin_constant + np.sum(
+            xs * xs - 10.0 * np.cos(2.0 * np.pi * xs), axis=1
+        )
+    a = xs[:, :-1]
+    b = xs[:, 1:]
+    return np.sum(100.0 * (b - a * a) ** 2 + (a - 1.0) ** 2, axis=1)
+
+
 class TestDefaults:
     def test_default_dimensions_and_bounds(self):
         expect = {
@@ -86,6 +105,18 @@ class TestEvaluate:
             batch = evaluate_many(fn, xs)
             single = [evaluate(fn, x) for x in xs]
             assert np.allclose(batch, single, rtol=1e-14)
+
+    @pytest.mark.parametrize("name", FUNCTION_IDS)
+    def test_batch_is_bit_for_bit_the_sum_and_prod_formulas(self, name):
+        rng = np.random.default_rng(7)
+        for dim in (1, 2, 5, None):
+            if dim == 1 and name == "rosenbrock":
+                continue
+            fn = make_function(name, dimension=dim)
+            for n in (1, 3, 90, 190):
+                xs = rng.uniform(fn.lower_bound, fn.upper_bound, (n, fn.dimension))
+                assert np.array_equal(evaluate_many(fn, xs),
+                                      reference_evaluate_many(fn, xs)), (dim, n)
 
 
 class TestOptimum:

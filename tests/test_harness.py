@@ -511,6 +511,12 @@ class TestCli:
         # a zero population once died in the run with ZeroDivisionError
         {"pso": {"pop_size": 0}},
         {"algo": "pso", "pso": {"pop_size": 0}},
+        # inertia 2 overflowed the velocity and f_scale 1e308 the mutant,
+        # and both runs exited 0 with a normal-looking record
+        {"algo": "pso", "function": "griewank", "dimension": 5, "sigma": [0.5],
+         "total_eval": 100_000, "pso": {"w_start": 2.0, "w_end": 2.0}},
+        {"algo": "de", "function": "griewank", "dimension": 5, "sigma": [0.5],
+         "total_eval": 100_000, "de": {"f_scale": 1e308}},
     ])
     def test_malformed_value_exits_1_before_any_run(
         self, bad, tmp_path, capsys, monkeypatch

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpsea import baselines, engine
-from dpsea.benchmarks import FUNCTION_IDS, NoiseModel, evaluate, make_function
+from dpsea.benchmarks import FUNCTION_IDS, NoiseModel, evaluate, evaluate_many, make_function
 from dpsea.stochastics import (
     Budget,
     CycleRecord,
@@ -13,6 +13,12 @@ from dpsea.stochastics import (
     resample_many,
     resampled_fitness,
 )
+
+
+def reference_resample_many(fn, xs, rs, noise, rng):
+    """True fitness plus the ``mean`` of ``rs`` draws per row, which
+    ``resample_many`` must match bit for bit."""
+    return evaluate_many(fn, xs) + rng.normal(noise.mu, noise.sigma, (len(xs), rs)).mean(axis=1)
 
 
 class TestRngState:
@@ -164,6 +170,18 @@ class TestResampleMany:
         single = [evaluate(fn, x) for x in xs]
         assert np.allclose(batch, single)
         assert budget.total_eval == 24
+
+    @pytest.mark.parametrize("name", FUNCTION_IDS)
+    @pytest.mark.parametrize("rs", [1, 3, 5])
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 0.0), (0.25, 0.0), (0.25, 0.7)])
+    def test_bit_for_bit_the_mean_of_the_draws(self, name, rs, mu, sigma):
+        fn = make_function(name, dimension=5)
+        noise = NoiseModel(mu, sigma)
+        for n in (1, 90):
+            xs = RngState(n).uniform(fn.lower_bound, fn.upper_bound, (n, 5))
+            got = resample_many(fn, xs, rs, noise, RngState(4), Budget(n, 1, rs))
+            want = reference_resample_many(fn, xs, rs, noise, RngState(4))
+            assert np.array_equal(got, want), n
 
     def test_batch_noise_statistics(self):
         fn = make_function("sphere")
