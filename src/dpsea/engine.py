@@ -34,6 +34,7 @@ from .stochastics import Budget, RunResult, check_budget, resample_many
 __all__ = [
     "PseudoPopulation",
     "T_SWITCH_MAX",
+    "LAMBDA_MAX",
     "DpseaParams",
     "self_organize",
     "adaptive_mutation_rate",
@@ -61,6 +62,17 @@ class PseudoPopulation:
 # surrogate phase took 9 ms, against 2 ms for a whole default step
 T_SWITCH_MAX = 100
 
+# most regression_lambda: a surrogate's n rows are standardized, so the
+# intercept and each linear column z have a sum of squares of at most n, a
+# squared column at most sum z^4 <= (sum z^2)^2 <= n^2, and every entry of
+# the Gram matrix is at most n^2 (Cauchy-Schwarz off the diagonal). A float
+# counts rows exactly up to n = 2^53, so at 2^53 * (2^53)^2 = 2^159 (7.3e47)
+# the ridge exceeds every entry by the float resolution: lam + g rounds to
+# lam, the slopes are A'y / lam, and a larger lam only shrinks them towards
+# underflow. At 1e100 a 5-D rastrigin1 run underflowed in the fit under
+# np.errstate(all="raise").
+LAMBDA_MAX = 2.0**159
+
 
 @dataclass(frozen=True)
 class DpseaParams:
@@ -75,8 +87,8 @@ class DpseaParams:
     def __post_init__(self):
         if not 1 <= self.t_switch <= T_SWITCH_MAX:
             raise ValueError(f"t_switch must be in [1, {T_SWITCH_MAX}]")
-        if not 0.0 <= self.regression_lambda < math.inf:
-            raise ValueError("regression_lambda must be finite and >= 0")
+        if not 0.0 <= self.regression_lambda <= LAMBDA_MAX:
+            raise ValueError(f"regression_lambda must be in [0, {LAMBDA_MAX:.3g}]")
         check_budget(self.max_total_eval, self.ga.pop_size, self.rs_merge)
 
 

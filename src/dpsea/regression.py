@@ -7,6 +7,12 @@ squared terms; no cross terms). Fitting standardizes coordinates for
 conditioning and applies a small ridge penalty to the non-intercept
 coefficients so degenerate sample sets stay well-posed; stored
 coefficients are mapped back to the original coordinates.
+
+Both fits solve the ridge normal equations on the standardized columns
+through one Cholesky factor. Forming the Gram matrix squares the design's
+condition number, which standardization and the ridge keep small; SVD least
+squares runs only where the factorization fails, on a system the samples do
+not determine.
 """
 
 from __future__ import annotations
@@ -113,18 +119,19 @@ def fit(xs, ys, kind, lam):
     Minimizes ``sum((y - model(x))^2) + lam * ||beta||^2`` with the
     intercept unpenalized, on coordinates standardized to the sample mean
     and spread (spread of a degenerate coordinate is taken as 1). Solved
-    as an augmented least-squares problem, which stays stable for
-    condition numbers well past 1e8 and any ``lam >= 0``.
+    through the normal equations ``(A'A + lam P) beta = A'y`` on those
+    standardized columns, with the Cholesky factor and its triangular
+    inverse of ``fit_rated``; forming ``A'A`` squares the condition number
+    of ``A``. Where the factorization fails (a system the samples do not
+    determine, as on a degenerate sample set at ``lam = 0``) the
+    coefficients come from ``_lstsq``.
     """
     xs, ys = _checked(xs, ys, lam)
     a, center, scale = _design_matrix(xs, kind)
-    p = a.shape[1]
-    if lam > 0 and p > 1:
-        pen = math.sqrt(lam) * np.eye(p)[1:]  # intercept row excluded
-        a = np.vstack([a, pen])
-        ys = np.concatenate([ys, np.zeros(p - 1)])
-    beta, *_ = np.linalg.lstsq(a, ys, rcond=None)
-    return _model(beta, kind, center, scale)
+    inv = _factor_inv(a, lam)
+    if inv is None:
+        return _model(_lstsq(a, ys, lam), kind, center, scale)
+    return _model(inv.T @ (inv @ (a.T @ ys)), kind, center, scale)
 
 
 def fit_rated(xs, ys, kind, lam):
@@ -143,17 +150,13 @@ def fit_rated(xs, ys, kind, lam):
     them exactly backwards (-1). Fewer than three samples or constant
     ``ys`` give 0. A system the samples do not determine (the
     factorization fails, as on a degenerate sample set at ``lam = 0``) gives
-    ``fit``'s least-squares model and fidelity 0.
+    the least-squares model ``fit`` gives there and fidelity 0.
     """
     xs, ys = _checked(xs, ys, lam)
     a, center, scale = _design_matrix(xs, kind)
-    p = a.shape[1]
-    gram = a.T @ a
-    gram.flat[p + 1 :: p + 1] += lam  # the diagonal but the intercept's
-    try:
-        inv = _tril_inv(np.linalg.cholesky(gram))
-    except np.linalg.LinAlgError:
-        return fit(xs, ys, kind, lam), 0.0
+    inv = _factor_inv(a, lam)
+    if inv is None:
+        return _model(_lstsq(a, ys, lam), kind, center, scale), 0.0
     w = inv @ a.T
     wy = w @ ys
     model = _model(inv.T @ wy, kind, center, scale)
@@ -169,6 +172,29 @@ def fit_rated(xs, ys, kind, lam):
     d[loo.argsort(kind="stable")] = ranks
     d[ys.argsort(kind="stable")] -= ranks
     return model, 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
+
+
+def _factor_inv(a, lam):
+    """``L^-1`` for the Cholesky factor ``L`` of ``A'A + lam P``, or ``None``
+    where the factorization fails."""
+    p = a.shape[1]
+    gram = a.T @ a
+    gram.flat[p + 1 :: p + 1] += lam  # the diagonal but the intercept's
+    try:
+        return _tril_inv(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _lstsq(a, ys, lam):
+    """The ridge coefficients by SVD least squares on ``A`` stacked over
+    ``sqrt(lam)`` times the identity's non-intercept rows: the solve for a
+    system whose normal equations have no Cholesky factor."""
+    p = a.shape[1]
+    if lam > 0 and p > 1:
+        a = np.vstack([a, math.sqrt(lam) * np.eye(p)[1:]])
+        ys = np.concatenate([ys, np.zeros(p - 1)])
+    return np.linalg.lstsq(a, ys, rcond=None)[0]
 
 
 def _tril_inv(low):

@@ -289,6 +289,22 @@ class TestSurrogateGenerations:
         assert max(g for _, g, _ in steps) == engine.T_SWITCH_MAX
         assert res.budget.total_eval <= 3000
 
+    def test_regression_lambda_bounded(self):
+        # 1e100 underflowed a 5-D rastrigin1 fit and 1e308 overflowed
+        for lam in (2.0**160, 1e100, 1e308, math.inf, math.nan, -1e-300):
+            with pytest.raises(ValueError, match="regression_lambda"):
+                DpseaParams(regression_lambda=lam)
+        assert DpseaParams(regression_lambda=2.0**159).regression_lambda == 2.0**159
+
+    @pytest.mark.parametrize("name", ["sphere", "griewank", "rastrigin1", "rosenbrock"])
+    def test_run_at_the_lambda_bound_stays_clean(self, name):
+        # no overflow, underflow or invalid value anywhere in the run
+        params = DpseaParams(max_total_eval=6000, regression_lambda=engine.LAMBDA_MAX)
+        with np.errstate(all="raise"):
+            res = run(make_function(name, dimension=5), NoiseModel(0.0, 0.5), params,
+                      RngState(1))
+        assert len(res.trace) > 0 and np.isfinite(res.best_fitness)
+
 
 class TestMergeAndResample:
     def test_hand_counted_budget(self):

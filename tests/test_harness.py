@@ -517,6 +517,9 @@ class TestCli:
          "total_eval": 100_000, "pso": {"w_start": 2.0, "w_end": 2.0}},
         {"algo": "de", "function": "griewank", "dimension": 5, "sigma": [0.5],
          "total_eval": 100_000, "de": {"f_scale": 1e308}},
+        # a ridge of 1e100 underflowed in the surrogate fit
+        {"algo": "dpsea", "dimension": 5, "sigma": [0.5], "total_eval": 6000,
+         "dpsea": {"regression_lambda": 1e100}},
     ])
     def test_malformed_value_exits_1_before_any_run(
         self, bad, tmp_path, capsys, monkeypatch

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dpsea.benchmarks import evaluate_many, make_function
 from dpsea.regression import (
     ModelKind,
     RegressionModel,
@@ -17,8 +18,9 @@ from dpsea.regression import (
 
 def oracle_fit(xs, ys, kind, lam):
     """Brute-force normal-equations solve in standardized space, expanded
-    back to original coordinates by hand. Independent of the library paths,
-    an augmented lstsq in ``fit`` and a Cholesky factor in ``fit_rated``."""
+    back to original coordinates by hand. Independent of the library's path,
+    one Cholesky factor and its triangular inverse in ``fit`` and
+    ``fit_rated``, with SVD least squares only where that factor fails."""
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     d = xs.shape[1]
@@ -157,6 +159,29 @@ class TestOracleEquivalence:
             want = oracle_fit(xs, ys, kind, lam)
             scale = np.maximum(np.abs(want), 1.0)
             assert np.all(np.abs(got - want) / scale < 1e-8), (trial, kind, lam)
+
+    @pytest.mark.parametrize("lam", [1e-6, 0.0])
+    def test_the_initial_designs_fit_matches_oracle(self, lam):
+        # the shape of a 50-D run's initial design: 100 + 40 * 102 uniform
+        # rows of noisy rastrigin1 values, 101 columns
+        rng = np.random.default_rng(23)
+        fn = make_function("rastrigin1")
+        xs = rng.uniform(fn.lower_bound, fn.upper_bound, (4180, 50))
+        ys = evaluate_many(fn, xs) + rng.normal(0, 0.5, 4180)
+        got = fit(xs, ys, ModelKind.DIAG_QUADRATIC, lam).coefficients
+        want = oracle_fit(xs, ys, ModelKind.DIAG_QUADRATIC, lam)
+        assert np.all(np.abs(got - want) / np.maximum(np.abs(want), 1.0) < 1e-8)
+
+    def test_a_well_posed_fit_makes_no_lstsq_call(self, monkeypatch):
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("lstsq on a system with a Cholesky factor")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        rng = np.random.default_rng(24)
+        for kind in ModelKind:
+            for lam in (0.0, 1e-6):
+                xs = rng.uniform(-3, 3, (40, 5))
+                fit(xs, rng.normal(size=40), kind, lam)
 
     def test_predictions_match_oracle(self):
         rng = np.random.default_rng(5)

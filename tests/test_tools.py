@@ -145,7 +145,7 @@ class TestDigests:
         from dpsea.stochastics import Budget, RngState
 
         digests = load_tool("digests")
-        skipped = set()
+        skipped, fitted = set(), set()
         for c in digests.cases(full=False):
             if c.get("algo") != "dpsea":  # run-directory cases have no algo key
                 continue
@@ -156,7 +156,11 @@ class TestDigests:
                                           RngState(c["seed"]), budget)
             if len(ys) == params.ga.pop_size:
                 skipped.add(c["function"])
+            else:
+                fitted.add(fn.dimension)
         assert skipped == set(digests.FUNCTIONS)
+        # and one case fits a 50-D design: 4180 rows, 101 columns
+        assert 50 in fitted
 
 
 class TestQuality:

@@ -11,10 +11,11 @@ it writes: the runs file without ``wall_ms``, the summary file and the bytes
 of config.json. Prints one line per case that differs and a count, and
 exits 1 if any case differs.
 
-``--quick`` (a few seconds per side) runs 16 DPSEA cases: the defaults on
-5-D versions of the four functions at sigma 0, 0.5 and 1, and one case per
+``--quick`` (a few seconds per side) runs 17 DPSEA cases: the defaults on
+5-D versions of the four functions at sigma 0, 0.5 and 1, one case per
 function at rs = 5 whose budget does not fit the initial design (the
-functions' own dimensions, 10k evaluations, 2.9k on sphere), plus small
+functions' own dimensions, 10k evaluations, 2.9k on sphere), and one 50-D
+rastrigin1 run at 6k whose budget fits it (a 4180 x 101 fit), plus small
 cGA, DE and PSO runs, and four run directories: ``dpsea run`` of DPSEA and
 cGA on 5-D griewank over sigma 0, 0.5 x rs 1, 5, in csv and in json. The
 full mode adds the 20 noiseless sphere 90k runs
@@ -70,6 +71,7 @@ def cases(full):
     out += [case("dpsea", function, 0.5, budget, 50 + j, dimension=None, rs=5,
                  tag="skipdesign")
             for j, (function, budget) in enumerate(DESIGN_SKIPPED_BUDGETS.items())]
+    out.append(case("dpsea", "rastrigin1", 0.5, 6000, 60, dimension=None, tag="design"))
     out += [
         case("cga", "griewank", 0.5, 5000, 1),
         case("cga", "sphere", 1.0, 5000, 2, rs=3),
