@@ -15,8 +15,9 @@ the next main generation or merge would overrun ``max_total_eval``
 The paper splits the population into self-organized clusters, one
 pseudo-population per region. At this package's defaults the initial
 design starts every run inside one cluster radius, so ``run`` keeps one
-pseudo-population; ``self_organize`` remains as the library's partition.
-A population is two arrays, ``genomes`` and ``fitness``, as in ``ga``.
+pseudo-population; ``self_organize`` remains as the library's partition,
+a cluster label per row and the seed row of each cluster. A population
+is two arrays, ``genomes`` and ``fitness``, as in ``ga``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .regression import ModelKind
 from .stochastics import Budget, RunResult, check_budget, resample_many
 
 __all__ = [
-    "PseudoPopulation",
     "T_SWITCH_MAX",
     "LAMBDA_MAX",
     "DpseaParams",
@@ -43,18 +43,6 @@ __all__ = [
     "initial_design",
     "run",
 ]
-
-
-@dataclass
-class PseudoPopulation:
-    """One cluster of a ``self_organize`` partition: ``genomes`` and
-    ``fitness`` are copies of the ``rows`` of the partitioned population,
-    ``seed_index`` among them; the seed is the cluster's best member."""
-
-    genomes: np.ndarray
-    fitness: np.ndarray
-    rows: np.ndarray
-    seed_index: int
 
 
 # most t_switch: surrogate generations cost no evaluation, so the budget
@@ -100,13 +88,15 @@ DESIGN_FACTOR = 40
 
 
 def self_organize(genomes, fitness, fn, radius_fraction=0.1, max_clusters=10):
-    """Partition a population into disjoint clusters, greedy best-first.
+    """Partition a population into disjoint clusters, greedy best-first;
+    returns ``(labels, seeds)``, the cluster of each row and the row of
+    each cluster's seed.
 
     The best unassigned individual seeds a new cluster (up to
     ``max_clusters``) and captures every unassigned individual within
     ``radius_fraction`` of the domain diagonal; leftovers then join the
-    nearest seed (ties to the lower seed index). Members keep population
-    order, and the clusters come best seed first.
+    nearest seed (ties to the lower seed index). Clusters are numbered best
+    seed first; cluster ``k``'s members are ``np.flatnonzero(labels == k)``.
     """
     n = len(fitness)
     if n == 0 or max_clusters < 1 or not radius_fraction >= 0:
@@ -114,33 +104,28 @@ def self_organize(genomes, fitness, fn, radius_fraction=0.1, max_clusters=10):
                          "and radius_fraction >= 0")
     radius = radius_fraction * (math.sqrt(fn.dimension) * (fn.upper_bound - fn.lower_bound))
 
-    label = np.full(n, -1)  # cluster of each individual, -1 unassigned
+    labels = np.full(n, -1)  # -1 unassigned
     order = np.argsort(fitness, kind="stable")
     seeds = []
     while len(seeds) < max_clusters:
-        free = order[label[order] < 0]
+        free = order[labels[order] < 0]
         if free.size == 0:
             break
         i = int(free[0])
         dist = np.linalg.norm(genomes - genomes[i], axis=1)
-        label[(label < 0) & (dist <= radius)] = len(seeds)
+        labels[(labels < 0) & (dist <= radius)] = len(seeds)
         seeds.append(i)
     seeds = np.array(seeds)
 
-    leftover = np.flatnonzero(label < 0)
+    leftover = np.flatnonzero(labels < 0)
     if leftover.size:
         by_index = np.argsort(seeds)
         dists = np.linalg.norm(
             genomes[leftover][:, None, :] - genomes[seeds[by_index]][None, :, :],
             axis=2,
         )
-        label[leftover] = by_index[np.argmin(dists, axis=1)]
-
-    clusters = []
-    for k, seed in enumerate(seeds.tolist()):
-        rows = np.flatnonzero(label == k)
-        clusters.append(PseudoPopulation(genomes[rows], fitness[rows], rows, seed))
-    return clusters
+        labels[leftover] = by_index[np.argmin(dists, axis=1)]
+    return labels, seeds
 
 
 # the population size at which adaptive_mutation_rate leaves the
@@ -172,7 +157,9 @@ def evolve_pseudo(genomes, fitness, model, rates, fn, params, rng, generations=1
     ``adaptive_mutation_rate`` once per run); the rates set how many genes
     mutate, and the step itself is the absolute ``sqrt(ga.sigma_m)`` of
     ``GaParams``. Elitism keeps the best members by fitness, which mixes
-    measured and estimated values.
+    measured and estimated values. It is its own function so that a tracer
+    that wraps module functions (``perfbench/tracing.py``) can tell the
+    surrogate generations, called from here, from the main ones.
     """
     return evolve_generation(genomes, fitness, params.ga, rng, fn.bounds,
                              lambda xs: regression.predict_many(model, xs),
@@ -302,12 +289,15 @@ def run(fn, noise, params, rng):
     generations (one ``evolve_pseudo`` call if any, with the same absolute
     step), so a model that ranks unseen points no better than chance gets
     none. ``merge_and_resample`` rescores all but the elites that the last
-    GA call copied from its (measured) input. Every cycle records one
-    pseudo-population, evolved. The returned best-ever solution is scored
-    by the noiseless fitness, which ``resample_many`` computes anyway for
-    every charged point and offers to ``Budget.offer``. The run keeps
-    OpenBLAS on one thread (``_blas.one_thread``), so parallel runs do not
-    contend for cores.
+    GA call copied from its (measured) input. Every cycle ends with
+    ``budget.end_cycle(n_clusters=1, n_eligible=1)``: the whole population
+    is the one pseudo-population, eligible for the step, and the record
+    keeps those counts because perfbench's ``engine.clusters_mean`` and
+    ``engine.eligible_mean`` read them. The returned best-ever solution is
+    scored by the noiseless fitness, which ``resample_many`` computes
+    anyway for every charged point and offers to ``Budget.offer``. The run
+    keeps OpenBLAS on one thread (``_blas.one_thread``), so parallel runs
+    do not contend for cores.
     """
     rs = params.rs_merge
     n = params.ga.pop_size

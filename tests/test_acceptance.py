@@ -166,25 +166,25 @@ def test_criterion_6_clustering_laws():
         n = int(rng.integers(1, 31))
         fits = rng.normal(size=n)
         genomes = rng.uniform(-100, 100, (n, 3))
-        clusters = self_organize(genomes, fits, fn, radius_fraction=0.1, max_clusters=10)
-        rows = [int(i) for c in clusters for i in c.rows]
+        labels, seeds = self_organize(genomes, fits, fn, radius_fraction=0.1,
+                                      max_clusters=10)
+        rows = [int(i) for k in range(len(seeds)) for i in np.flatnonzero(labels == k)]
         assert len(rows) == n and len(set(rows)) == n  # disjoint cover
-        for c in clusters:
-            assert np.array_equal(c.genomes, genomes[c.rows])
 
     genomes = rng.uniform(-100, 100, (30, 3))
-    assert len(self_organize(genomes, np.arange(30.0), fn, radius_fraction=1.0,
-                             max_clusters=10)) == 1
+    _, seeds = self_organize(genomes, np.arange(30.0), fn, radius_fraction=1.0,
+                             max_clusters=10)
+    assert len(seeds) == 1
 
     # two tight blobs must be recovered exactly
     fn2 = make_function("sphere", dimension=2)
     blob_a = np.full((5, 2), -80.0) + rng.normal(0, 0.5, (5, 2))
     blob_b = np.full((5, 2), 80.0) + rng.normal(0, 0.5, (5, 2))
     genomes = np.vstack([blob_a, blob_b])
-    clusters = self_organize(genomes, np.arange(10.0), fn2, radius_fraction=0.1,
-                             max_clusters=10)
-    assert len(clusters) == 2
-    got = sorted(tuple(c.rows.tolist()) for c in clusters)
+    labels, seeds = self_organize(genomes, np.arange(10.0), fn2, radius_fraction=0.1,
+                                  max_clusters=10)
+    assert len(seeds) == 2
+    got = sorted(tuple(np.flatnonzero(labels == k).tolist()) for k in range(len(seeds)))
     assert got == [tuple(range(5)), tuple(range(5, 10))]
     print("criterion 6: disjoint cover (1000 trials), single-cluster, two-blob ok")
 

@@ -33,8 +33,9 @@ def make_pop(genomes, fits=None):
     return genomes, np.array(fits, float)
 
 
-def member_rows(clusters):
-    return [int(i) for c in clusters for i in c.rows]
+def clusters_of(labels, seeds):
+    """Each cluster's member rows, in cluster order."""
+    return [np.flatnonzero(labels == k).tolist() for k in range(len(seeds))]
 
 
 class TestSelfOrganize:
@@ -44,22 +45,19 @@ class TestSelfOrganize:
         for _ in range(1000):
             n = int(rng.integers(1, 31))
             genomes = rng.uniform(-100, 100, (n, 3))
-            pop = make_pop(genomes, rng.normal(size=n))
-            clusters = self_organize(*pop, fn)
-            seen = member_rows(clusters)
-            assert len(seen) == n
-            assert len(set(seen)) == n
-            for c in clusters:
-                assert np.array_equal(c.genomes, genomes[c.rows])
-                assert np.array_equal(c.fitness, pop[1][c.rows])
+            labels, seeds = self_organize(genomes, rng.normal(size=n), fn)
+            assert labels.shape == (n,)
+            seen = [i for rows in clusters_of(labels, seeds) for i in rows]
+            assert sorted(seen) == list(range(n))
+            assert labels[seeds].tolist() == list(range(len(seeds)))
 
     def test_radius_one_gives_single_cluster(self):
         fn = make_function("sphere", dimension=3)
         rng = np.random.default_rng(1)
         pop = make_pop(rng.uniform(-100, 100, (20, 3)))
-        clusters = self_organize(*pop, fn, radius_fraction=1.0)
-        assert len(clusters) == 1
-        assert len(clusters[0].rows) == len(clusters[0].fitness) == 20
+        labels, seeds = self_organize(*pop, fn, radius_fraction=1.0)
+        assert len(seeds) == 1
+        assert clusters_of(labels, seeds) == [list(range(20))]
 
     def test_two_blob_oracle_partition(self):
         # two tight blobs in opposite corners: greedy seeding must recover
@@ -71,21 +69,20 @@ class TestSelfOrganize:
         genomes = np.vstack([blob_a, blob_b])
         fits = [3.0, 4.0, 5.0, 6.0, 7.0, 0.0, 1.0, 2.0, 8.0, 9.0]
         pop = make_pop(genomes, fits)
-        clusters = self_organize(*pop, fn, radius_fraction=0.1)
-        assert len(clusters) == 2
+        labels, seeds = self_organize(*pop, fn, radius_fraction=0.1)
+        assert len(seeds) == 2
         # seed of the first cluster is the global best (index 5, blob b)
-        assert clusters[0].seed_index == 5
-        assert set(clusters[0].rows.tolist()) == set(range(5, 10))
-        assert set(clusters[1].rows.tolist()) == set(range(5))
+        assert seeds[0] == 5
+        assert clusters_of(labels, seeds) == [list(range(5, 10)), list(range(5))]
 
     def test_max_clusters_cap_with_leftover_assignment(self):
         fn = make_function("sphere", dimension=1)
         # points at 0, 1, 50, 51, 100; radius = 0.01 * 200 = 2
         genomes = np.array([[0.0], [1.0], [50.0], [51.0], [100.0]])
         pop = make_pop(genomes, [0.0, 1.0, 2.0, 3.0, 4.0])
-        clusters = self_organize(*pop, fn, radius_fraction=0.01, max_clusters=2)
-        assert len(clusters) == 2
-        sizes = sorted(len(c.rows) for c in clusters)
+        labels, seeds = self_organize(*pop, fn, radius_fraction=0.01, max_clusters=2)
+        assert len(seeds) == 2
+        sizes = sorted(len(rows) for rows in clusters_of(labels, seeds))
         # 100 is a leftover and joins its nearest seed (50)
         assert sizes == [2, 3]
 
@@ -94,9 +91,9 @@ class TestSelfOrganize:
         # row 2 seeds the first cluster, row 0 the second; row 1 lies 10
         # from both seeds and joins row 0, the seed with the lower index
         pop = make_pop([[-10.0], [0.0], [10.0]], [1.0, 5.0, 0.0])
-        clusters = self_organize(*pop, fn, radius_fraction=0.01, max_clusters=2)
-        assert [c.seed_index for c in clusters] == [2, 0]
-        assert [c.rows.tolist() for c in clusters] == [[2], [0, 1]]
+        labels, seeds = self_organize(*pop, fn, radius_fraction=0.01, max_clusters=2)
+        assert seeds.tolist() == [2, 0]
+        assert labels.tolist() == [1, 1, 0]
 
     def test_empty_population_rejected(self):
         fn = make_function("sphere", dimension=2)
