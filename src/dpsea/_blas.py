@@ -5,7 +5,9 @@ of one run are too small for that to pay: on a 2-core box a 50-D run spent
 twice the CPU time for no gain in wall time, and two runs side by side (a
 sweep with ``DPSEA_THREADS=2``) fought over the cores and ran slower than
 one after the other. ``one_thread`` pins OpenBLAS to one thread for the
-duration of a block and restores the previous count after it.
+duration of a block and restores the previous count after it. The count
+is process-wide, so blocks that overlap in threads share one saved count:
+the first block in saves it and the last block out restores it.
 
 The library is found on first use, not at import: the OpenBLAS that numpy
 mapped into this process (``/proc/self/maps``), else the one numpy ships
@@ -19,6 +21,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import threading
 
 import numpy as np
 
@@ -64,21 +67,35 @@ def _controls():
     return None
 
 
+# the open one_thread blocks of all threads, and the count the first saved
+_lock = threading.Lock()
+_depth = 0
+_saved = None
+
+
 @contextlib.contextmanager
 def one_thread():
     """Run the block with OpenBLAS on one thread; restore the count after.
 
-    The count is restored also when the block raises, and nested blocks
-    restore the count of the block around them.
+    Blocks open in any thread, nested or overlapping, hold one thread until
+    the last of them ends, which restores the count saved by the first;
+    every block boundary in between sets one thread again. The count is
+    restored also when a block raises.
     """
+    global _depth, _saved
     controls = _controls()
     if controls is None:
         yield
         return
     get, set_ = controls
-    previous = get()
-    set_(1)
+    with _lock:
+        if _depth == 0:
+            _saved = get()
+        _depth += 1
+        set_(1)
     try:
         yield
     finally:
-        set_(previous)
+        with _lock:
+            _depth -= 1
+            set_(_saved if _depth == 0 else 1)

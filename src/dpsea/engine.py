@@ -166,24 +166,34 @@ def evolve_pseudo(genomes, fitness, model, rates, fn, params, rng, generations=1
                              mutation_rates=rates, generations=generations)
 
 
-def merge_and_resample(genomes, fitness, source, fn, noise, rng, budget, params):
+def merge_and_resample(genomes, fitness, source, fn, noise, rng, budget, params,
+                       known=None):
     """Refresh the population's fitness with true resampling, in place.
 
     Every row is scored by ``rs_merge``-fold resampled true fitness except
     the elites that the last GA call copied from an input row (``source >=
     0`` in what it returned), which keep their measured fitness and accrue
-    ``total_unchanged``; only the rescored rows reach ``budget.offer``.
-    Returns ``fitness``, or ``None`` when the scoring would overrun
-    ``max_total_eval``, charging nothing.
+    ``total_unchanged``. ``known`` is given after a step with no surrogate
+    generations, whose last GA call is the main generation: every elite is
+    kept, and ``known`` is the true fitness that generation's
+    ``resample_many`` computed for its offspring, rows ``n_elites:``. Those
+    rows are then re-noised from it (``resample_many``'s ``known``), with
+    the same charge and draws, and not evaluated again. Returns
+    ``fitness``, or ``None`` when the scoring would overrun
+    ``max_total_eval``, charging and drawing nothing.
     """
     rs = params.rs_merge
-    kept = np.zeros(len(fitness), dtype=bool)
-    kept[: len(source)] = source >= 0
-    to_eval = (~kept).nonzero()[0]
-    if budget.total_eval + len(to_eval) * rs > params.max_total_eval:
+    if known is None:
+        kept = np.zeros(len(fitness), dtype=bool)
+        kept[: len(source)] = source >= 0
+        to_eval = (~kept).nonzero()[0]
+    else:
+        to_eval = slice(len(source), None)
+    xs = genomes[to_eval]
+    if budget.total_eval + len(xs) * rs > params.max_total_eval:
         return None
-    budget.skip((len(fitness) - len(to_eval)) * rs)
-    fitness[to_eval] = resample_many(fn, genomes[to_eval], rs, noise, rng, budget)
+    budget.skip((len(fitness) - len(xs)) * rs)
+    fitness[to_eval] = resample_many(fn, xs, rs, noise, rng, budget, known=known)
     return fitness
 
 
@@ -289,7 +299,10 @@ def run(fn, noise, params, rng):
     generations (one ``evolve_pseudo`` call if any, with the same absolute
     step), so a model that ranks unseen points no better than chance gets
     none. ``merge_and_resample`` rescores all but the elites that the last
-    GA call copied from its (measured) input. Every cycle ends with
+    GA call copied from its (measured) input; after a step with no surrogate
+    generations those are the main generation's offspring, re-noised from
+    the true fitness their scoring computed, so a run computes each genome's
+    true fitness once. Every cycle ends with
     ``budget.end_cycle(n_clusters=1, n_eligible=1)``: the whole population
     is the one pseudo-population, eligible for the step, and the record
     keeps those counts because perfbench's ``engine.clusters_mean`` and
@@ -309,6 +322,8 @@ def run(fn, noise, params, rng):
     rates = adaptive_mutation_rate(params)
 
     n_elites = params.ga.n_elites
+    # the true fitness of the main generation's offspring, rows n_elites:
+    offspring_true = np.empty(n - n_elites)
     main_cost = (n - n_elites) * rs
     # every step fits the n rows before the main generation and its offspring
     kind = regression.select_kind(2 * n - n_elites, fn.dimension)
@@ -318,7 +333,8 @@ def run(fn, noise, params, rng):
         prev_genomes, prev_fitness = genomes, fitness
         genomes, fitness, source = evolve_generation(
             genomes, fitness, params.ga, rng, fn.bounds,
-            lambda xs: resample_many(fn, xs, rs, noise, rng, budget))
+            lambda xs: resample_many(fn, xs, rs, noise, rng, budget,
+                                     true_out=offspring_true))
         budget.skip(n_elites * rs)
 
         xs = np.concatenate([prev_genomes, genomes[n_elites:]])
@@ -329,7 +345,8 @@ def run(fn, noise, params, rng):
             genomes, fitness, source = evolve_pseudo(genomes, fitness, model, rates, fn,
                                                      params, rng, generations)
 
-        fitness = merge_and_resample(genomes, fitness, source, fn, noise, rng, budget, params)
+        fitness = merge_and_resample(genomes, fitness, source, fn, noise, rng, budget, params,
+                                     None if generations else offspring_true)
         budget.end_cycle(n_clusters=1, n_eligible=1)
 
     return RunResult.from_budget(budget)

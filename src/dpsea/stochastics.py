@@ -4,6 +4,9 @@ The generator is numpy's ``Generator`` on PCG64, and every run owns a
 single stream. ``resample_many`` is the one path that adds Gaussian noise
 to true fitness, and the one place a run computes true fitness: it offers
 those values to the run's ``Budget``, the record a ``RunResult`` reports.
+A run computes each genome's true fitness once: re-measuring rows whose
+true fitness an earlier call gave back (``true_out``) passes it in
+(``known``), and only the noise and the charge are new.
 """
 
 from __future__ import annotations
@@ -135,19 +138,32 @@ def resampled_fitness(fn, x, rs, noise, rng, budget):
     return float(resample_many(fn, np.asarray(x)[None], rs, noise, rng, budget)[0])
 
 
-def resample_many(fn, xs, rs, noise, rng, budget):
+def resample_many(fn, xs, rs, noise, rng, budget, *, known=None, true_out=None):
     """Mean of ``rs`` noisy evaluations of each row of ``xs``; charges n*rs.
 
-    The true fitness of each row is computed once, here: it is the base of
-    the noisy mean and is offered with the rows to ``budget.offer``, so a
-    run never evaluates a charged point twice.
+    The true fitness of each row is the base of the noisy mean. It is
+    computed here and offered with the rows to ``budget.offer``, unless a
+    caller passes it as ``known``: the true fitness an earlier call gave the
+    same rows (through ``true_out``, an ``(n,)`` array it is copied into).
+    Then neither the evaluation nor the offer is repeated; the offer could
+    not change the best so far, which already saw those values and keeps
+    only a strictly smaller one. The charge and the draws are the same
+    either way, so a run computes each genome's true fitness once however
+    often it re-measures it.
     """
     if rs < 1:
         raise ValueError(f"rs must be a positive integer, got {rs}")
     xs = np.asarray(xs, dtype=np.float64)
-    base = benchmarks.evaluate_many(fn, xs)
+    if known is None:
+        base = benchmarks.evaluate_many(fn, xs)
+        budget.offer(xs, base)
+    elif len(known) != xs.shape[0]:
+        raise ValueError(f"known has {len(known)} values for {xs.shape[0]} rows")
+    else:
+        base = known
     budget.charge(xs.shape[0] * rs)
-    budget.offer(xs, base)
+    if true_out is not None:
+        true_out[...] = base
     if noise.sigma == 0.0:
         return base + noise.mu
     draws = rng.normal(noise.mu, noise.sigma, (xs.shape[0], rs))

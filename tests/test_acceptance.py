@@ -85,9 +85,9 @@ def test_criterion_4_budget_identity(monkeypatch):
     counted = {"n": 0}
     orig = st.resample_many
 
-    def counting(fn_, xs, rs, noise, rng, budget):
+    def counting(fn_, xs, rs, noise, rng, budget, **kwargs):
         counted["n"] += np.asarray(xs).shape[0] * rs
-        return orig(fn_, xs, rs, noise, rng, budget)
+        return orig(fn_, xs, rs, noise, rng, budget, **kwargs)
 
     monkeypatch.setattr("dpsea.baselines.resample_many", counting)
     monkeypatch.setattr("dpsea.engine.resample_many", counting)

@@ -1,6 +1,9 @@
 import os
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -68,6 +71,42 @@ class TestOneThread:
         assert fake.count == 4
         assert fake.sets == [1, 1, 1, 4]
 
+    def test_overlapping_blocks_hold_one_until_the_last_ends(self, fake):
+        # enter A, enter B, exit A, exit B: the order of two runs that
+        # overlap in threads
+        a, b = _blas.one_thread(), _blas.one_thread()
+        a.__enter__()
+        b.__enter__()
+        assert fake.count == 1
+        a.__exit__(None, None, None)
+        assert fake.count == 1
+        b.__exit__(None, None, None)
+        assert fake.count == 4
+
+    def test_threads_entering_and_leaving_at_once_hold_one(self, fake):
+        # more threads than cores, switching as often as the interpreter
+        # allows: a lost update of the shared depth would restore the count
+        # inside some block or leave it at 1 after the last
+        inside = []
+
+        def work():
+            for _ in range(200):
+                with _blas.one_thread():
+                    time.sleep(0)  # lets another thread in
+                    inside.append(fake.count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(work) for _ in range(4)]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert inside == [1] * 800
+        assert fake.count == 4
+
     def test_no_library_does_nothing(self, monkeypatch):
         get = (_blas._controls() or (lambda: None,))[0]
         before = get()
@@ -121,3 +160,43 @@ class TestRunUsesOneThread:
         with pytest.raises(RuntimeError):
             dpsea.run(fn, dpsea.NoiseModel(sigma=0.0), engine.DpseaParams(), RngState(1))
         assert fake.sets == [1, 4]
+
+    def test_overlapping_runs_in_threads_restore_the_count(self, real, monkeypatch):
+        # run A starts, run B starts, A ends, B ends: a block that restored
+        # the count it saw on entry left B's 1 behind
+        get, set_ = real
+        original = get()
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        role = threading.local()
+        design = engine.initial_design
+
+        def spy(*args, **kwargs):
+            if role.name == "a":
+                a_in.set()
+                assert b_in.wait(30)
+            else:
+                b_in.set()
+                assert a_out.wait(30)
+            return design(*args, **kwargs)
+
+        def work(name):
+            role.name = name
+            fn = dpsea.make_function("sphere")
+            params = engine.DpseaParams(max_total_eval=2_000)
+            result = dpsea.run(fn, dpsea.NoiseModel(sigma=0.0), params, RngState(1))
+            if name == "a":
+                a_out.set()
+            return result
+
+        monkeypatch.setattr(engine, "initial_design", spy)
+        set_(2)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                a = pool.submit(work, "a")
+                assert a_in.wait(30)
+                b = pool.submit(work, "b")
+                a.result()
+                b.result()
+            assert get() == 2
+        finally:
+            set_(original)

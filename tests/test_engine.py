@@ -17,7 +17,7 @@ from dpsea.engine import (
 )
 from dpsea.ga import GaParams
 from dpsea.regression import ModelKind
-from dpsea.stochastics import Budget, RngState
+from dpsea.stochastics import Budget, RngState, resample_many
 
 
 def small_params(**kwargs):
@@ -358,6 +358,73 @@ class TestMergeAndResample:
         assert (budget.total_eval, budget.total_unchanged) == (100, 4)
 
 
+class TestZeroGenerationMerge:
+    """A merge after a step without surrogate generations, given the true
+    fitness of rows ``n_elites:`` that the main generation computed."""
+
+    N, N_ELITES = 10, 2
+
+    def step(self, rs, sigma, max_total_eval=10_000, spent=0):
+        """A scored population, its known offspring true fitness, and the
+        merge's other arguments."""
+        fn = make_function("sphere", dimension=3)
+        params = small_params(ga=GaParams(pop_size=self.N, n_elites=self.N_ELITES),
+                              rs_merge=rs, max_total_eval=max_total_eval)
+        genomes = RngState(5).uniform(fn.lower_bound, fn.upper_bound, (self.N, 3))
+        fitness = np.arange(self.N, dtype=float)
+        known = evaluate_many(fn, genomes[self.N_ELITES:])
+        budget = Budget(pop_size=self.N, total_it=0, rs=rs, total_eval=spent)
+        budget.offer(genomes[self.N_ELITES:], known)
+        return genomes, fitness, known, fn, NoiseModel(0.1, sigma), budget, params
+
+    @pytest.fixture
+    def no_evaluation(self, monkeypatch):
+        import dpsea.benchmarks as bm
+
+        def evaluate_many(fn, xs):
+            raise AssertionError("known true fitness evaluated again")
+
+        monkeypatch.setattr(bm, "evaluate_many", evaluate_many)
+
+    def test_no_evaluation_and_the_best_left_alone(self, no_evaluation):
+        genomes, fitness, known, fn, noise, budget, params = self.step(2, 0.5)
+        best_genome, best_fitness = budget.best_genome, budget.best_fitness
+        merged = merge_and_resample(genomes, fitness, np.arange(self.N_ELITES), fn, noise,
+                                    RngState(1), budget, params, known)
+        assert merged is fitness
+        assert budget.best_genome is best_genome and budget.best_fitness == best_fitness
+        assert (budget.total_eval, budget.total_unchanged) == (16, 4)
+
+    @pytest.mark.parametrize("rs", [1, 3])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_bits_and_draws_of_resample_many_on_the_same_rows(self, rs, sigma):
+        genomes, fitness, known, fn, noise, budget, params = self.step(rs, sigma)
+        want_rng = RngState(7)
+        want = resample_many(fn, genomes[self.N_ELITES:], rs, noise, want_rng,
+                             Budget(self.N, 0, rs))
+        before = fitness.copy()
+        rng = RngState(7)
+        merge_and_resample(genomes, fitness, np.arange(self.N_ELITES), fn, noise, rng,
+                           budget, params, known)
+        assert np.array_equal(fitness[self.N_ELITES:], want)
+        assert np.array_equal(fitness[:self.N_ELITES], before[:self.N_ELITES])
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert budget.total_eval == (self.N - self.N_ELITES) * rs
+
+    def test_over_the_cap_returns_none_charges_and_draws_nothing(self, no_evaluation):
+        # the merge costs 8 * 2 = 16; with 85 spent a cap of 100 leaves 15
+        genomes, fitness, known, fn, noise, budget, params = self.step(
+            2, 0.5, max_total_eval=100, spent=85)
+        before = fitness.copy()
+        rng = RngState(7)
+        merged = merge_and_resample(genomes, fitness, np.arange(self.N_ELITES), fn, noise,
+                                    rng, budget, params, known)
+        assert merged is None
+        assert (budget.total_eval, budget.total_unchanged) == (85, 0)
+        assert np.array_equal(fitness, before)
+        assert rng.bit_generator.state == RngState(7).bit_generator.state
+
+
 class TestMergeInRun:
     def test_merge_keeps_only_the_elites_copied_from_measured_rows(self, monkeypatch):
         # the rows a merge keeps (fitness untouched) are the elites that the
@@ -376,11 +443,13 @@ class TestMergeInRun:
             pseudo.append((args[-1], np.flatnonzero(out[2] >= 0)))
             return out
 
-        def merge(genomes, fitness, source, fn, noise, rng, budget, params):
+        def merge(genomes, fitness, source, fn, noise, rng, budget, params, known=None):
             before, evals = fitness.copy(), budget.total_eval
-            out = real_merge(genomes, fitness, source, fn, noise, rng, budget, params)
+            out = real_merge(genomes, fitness, source, fn, noise, rng, budget, params, known)
             if out is not None:
                 generations, kept = pseudo.pop() if pseudo else (0, None)
+                # only a zero-generation step re-noises known true fitness
+                assert (known is None) == (generations > 0)
                 steps.append((generations, kept, np.flatnonzero(out == before),
                               (budget.total_eval - evals) // rs, budget.total_unchanged))
             return out

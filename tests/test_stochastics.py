@@ -191,6 +191,41 @@ class TestResampleMany:
         assert abs(vals.mean()) < 0.05
         assert abs(vals.var(ddof=1) - 0.25) < 0.05
 
+    @pytest.mark.parametrize("rs", [1, 3])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_known_true_fitness_gives_the_same_bits_and_draws(self, rs, sigma,
+                                                             monkeypatch):
+        # true fitness handed back through true_out and passed in as known:
+        # the same charge, draws and bits, and no evaluation or offer
+        import dpsea.benchmarks as bm
+
+        fn = make_function("griewank", dimension=5)
+        noise = NoiseModel(0.25, sigma)
+        xs = RngState(2).uniform(fn.lower_bound, fn.upper_bound, (90, 5))
+        first, want_rng = Budget(90, 1, rs), RngState(4)
+        true = np.empty(90)
+        want = resample_many(fn, xs, rs, noise, want_rng, first, true_out=true)
+        assert np.array_equal(true, evaluate_many(fn, xs))
+
+        def no_evaluation(fn, xs):
+            raise AssertionError("known true fitness evaluated again")
+
+        monkeypatch.setattr(bm, "evaluate_many", no_evaluation)
+        again, got_rng = Budget(90, 1, rs), RngState(4)
+        got = resample_many(fn, xs, rs, noise, got_rng, again, known=true)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert again.total_eval == first.total_eval == 90 * rs
+        assert again.best_genome is None and again.best_fitness == np.inf
+
+    def test_known_true_fitness_must_cover_every_row(self):
+        fn = make_function("sphere")
+        budget = Budget(3, 1, 1)
+        with pytest.raises(ValueError, match="2 values for 3 rows"):
+            resample_many(fn, np.zeros((3, 5)), 1, NoiseModel(0.0, 1.0), RngState(0),
+                          budget, known=np.zeros(2))
+        assert budget.total_eval == 0
+
     def test_true_fitness_offered_to_the_budgets_tracker(self):
         fn = make_function("sphere", dimension=2)
         budget = Budget(pop_size=3, total_it=1, rs=2)
@@ -207,17 +242,34 @@ class TestResampleMany:
 @pytest.mark.parametrize("algo", ["dpsea", "cga", "de", "pso"])
 def test_one_true_evaluation_per_charged_point(algo, monkeypatch):
     # every row that reaches the objective is charged rs times, and nothing
-    # else (best-so-far tracking included) evaluates the objective again
+    # else (best-so-far tracking included) evaluates the objective again; a
+    # DPSEA step without surrogate generations re-noises its 90 offspring
+    # from the true fitness the main generation computed, also charged rs
+    # times each
     import dpsea.benchmarks as bm
 
-    rows = []
+    rows, renoised, zero_generation_merges = [], [], []
     evaluate_many = bm.evaluate_many
+    resample, merge = engine.resample_many, engine.merge_and_resample
 
     def counting(fn, xs):
         rows.append(len(xs))
         return evaluate_many(fn, xs)
 
+    def renoising(*args, known=None, **kwargs):
+        if known is not None:
+            renoised.append(len(known))
+        return resample(*args, known=known, **kwargs)
+
+    def merging(*args):
+        out = merge(*args)
+        if out is not None and args[-1] is not None:
+            zero_generation_merges.append(1)
+        return out
+
     monkeypatch.setattr(bm, "evaluate_many", counting)
+    monkeypatch.setattr(engine, "resample_many", renoising)
+    monkeypatch.setattr(engine, "merge_and_resample", merging)
     fn = make_function("griewank", dimension=10)
     noise = NoiseModel(0.0, 0.5)
     rs = 3
@@ -233,7 +285,9 @@ def test_one_true_evaluation_per_charged_point(algo, monkeypatch):
     }
     res = runners[algo]()
     assert res.budget.total_eval > 0
-    assert sum(rows) * rs == res.budget.total_eval
+    assert (sum(rows) + sum(renoised)) * rs == res.budget.total_eval
+    assert sum(renoised) == 90 * len(zero_generation_merges)
+    assert (len(zero_generation_merges) > 0) == (algo == "dpsea")
 
 
 # 5-D sphere runs for each runner; the initial design needs (100 + 480 + 1 +

@@ -162,6 +162,26 @@ class TestDigests:
         # and one case fits a 50-D design: 4180 rows, 101 columns
         assert 50 in fitted
 
+    def test_quick_mode_re_noises_known_true_fitness_at_rs_above_one(self, monkeypatch):
+        # the quick case whose steps without surrogate generations re-noise
+        # the main generation's offspring, rs times each
+        from dpsea import engine
+
+        digests = load_tool("digests")
+        (c,) = [c for c in digests.cases(full=False) if c["name"].endswith("-reuse-seed70")]
+        assert c["rs"] > 1
+        merge, renoised = engine.merge_and_resample, []
+
+        def merging(*args):
+            out = merge(*args)
+            if out is not None and args[-1] is not None:
+                renoised.append(len(args[-1]))
+            return out
+
+        monkeypatch.setattr(engine, "merge_and_resample", merging)
+        digests.run_case(c)
+        assert renoised and set(renoised) == {90}
+
 
 class TestQuality:
     ROOT = TOOLS.parent

@@ -83,3 +83,32 @@ def test_cycles_and_pseudo_generations_are_seen(traced):
     assert metrics["engine.evolve_pseudo.calls"] == metrics["ga.evolve_generation.pseudo.calls"]
     assert metrics["baselines.run_cga.self_s"] > 0
 
+
+
+def noisy_dpsea_run():
+    params = DpseaParams(max_total_eval=9000)
+    return engine.run(make_function("sphere"), NoiseModel(0.0, 1.0), params, RngState(1))
+
+
+@pytest.mark.parametrize("runner", [noisy_dpsea_run, cga_run])
+def test_true_fitness_only_inside_resampling(runner):
+    # every charged evaluation goes through resample_many, and nothing
+    # outside it computes true fitness; a DPSEA step without surrogate
+    # generations re-noises its 90 offspring from known true fitness (unless
+    # it is the last and its merge is over the cap)
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracer:
+        result = runner()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["benchmarks.evaluate_many.track.rows"] == 0
+    assert metrics["stochastics.resample_many.evals"] == result.budget.total_eval
+    computed = metrics["benchmarks.evaluate_many.noisy.rows"] * result.budget.rs
+    if runner is noisy_dpsea_run:
+        zero_generation_steps = metrics["engine.cycles"] - metrics["engine.evolve_pseudo.calls"]
+        assert zero_generation_steps > 0
+        renoised = (result.budget.total_eval - computed) // (90 * result.budget.rs)
+        assert result.budget.total_eval - computed == 90 * renoised * result.budget.rs
+        assert renoised in (zero_generation_steps, zero_generation_steps - 1)
+    else:
+        assert computed == result.budget.total_eval

@@ -11,12 +11,13 @@ it writes: the runs file without ``wall_ms``, the summary file and the bytes
 of config.json. Prints one line per case that differs and a count, and
 exits 1 if any case differs.
 
-``--quick`` (a few seconds per side) runs 17 DPSEA cases: the defaults on
+``--quick`` (a few seconds per side) runs 18 DPSEA cases: the defaults on
 5-D versions of the four functions at sigma 0, 0.5 and 1, one case per
 function at rs = 5 whose budget does not fit the initial design (the
-functions' own dimensions, 10k evaluations, 2.9k on sphere), and one 50-D
-rastrigin1 run at 6k whose budget fits it (a 4180 x 101 fit), plus small
-cGA, DE and PSO runs, and four run directories: ``dpsea run`` of DPSEA and
+functions' own dimensions, 10k evaluations, 2.9k on sphere), one 50-D
+rastrigin1 run at 6k whose budget fits it (a 4180 x 101 fit) and one 5-D
+sphere run at sigma 1, rs = 3 and 9k whose steps without surrogate
+generations re-noise known true fitness, plus small cGA, DE and PSO runs, and four run directories: ``dpsea run`` of DPSEA and
 cGA on 5-D griewank over sigma 0, 0.5 x rs 1, 5, in csv and in json. The
 full mode adds the 20 noiseless sphere 90k runs
 of acceptance criterion 1 and the 30 sigma-1 sphere 90k runs of criterion
@@ -72,6 +73,7 @@ def cases(full):
                  tag="skipdesign")
             for j, (function, budget) in enumerate(DESIGN_SKIPPED_BUDGETS.items())]
     out.append(case("dpsea", "rastrigin1", 0.5, 6000, 60, dimension=None, tag="design"))
+    out.append(case("dpsea", "sphere", 1.0, 9000, 70, rs=3, tag="reuse"))
     out += [
         case("cga", "griewank", 0.5, 5000, 1),
         case("cga", "sphere", 1.0, 5000, 2, rs=3),
