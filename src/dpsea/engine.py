@@ -298,11 +298,14 @@ def run(fn, noise, params, rng):
     runs ``round(t_switch * max(0, fidelity))`` zero-cost surrogate
     generations (one ``evolve_pseudo`` call if any, with the same absolute
     step), so a model that ranks unseen points no better than chance gets
-    none. ``merge_and_resample`` rescores all but the elites that the last
-    GA call copied from its (measured) input; after a step with no surrogate
-    generations those are the main generation's offspring, re-noised from
-    the true fitness their scoring computed, so a run computes each genome's
-    true fitness once. Every cycle ends with
+    none. Only those generations read the model's coefficients, so the model
+    of a step that earns none is never mapped to original coordinates (nor
+    checked finite: ``regression.RegressionModel``). ``merge_and_resample``
+    rescores all but the elites that the last GA call copied from its
+    (measured) input; after a step with no surrogate generations those are
+    the main generation's offspring, re-noised from the true fitness their
+    scoring computed, so a run computes each genome's true fitness once.
+    Every cycle ends with
     ``budget.end_cycle(n_clusters=1, n_eligible=1)``: the whole population
     is the one pseudo-population, eligible for the step, and the record
     keeps those counts because perfbench's ``engine.clusters_mean`` and

@@ -5,8 +5,9 @@ Three model bases, chosen by how many samples are available: constant,
 linear, and diagonal quadratic (intercept, per-coordinate linear and
 squared terms; no cross terms). Fitting standardizes coordinates for
 conditioning and applies a small ridge penalty to the non-intercept
-coefficients so degenerate sample sets stay well-posed; stored
-coefficients are mapped back to the original coordinates.
+coefficients so degenerate sample sets stay well-posed. A model keeps the
+standardized coefficients and maps them back to the original coordinates
+on first use, so a model that is never read is never mapped.
 
 Both fits solve the ridge normal equations on the standardized columns
 through one Cholesky factor. Forming the Gram matrix squares the design's
@@ -18,6 +19,7 @@ not determine.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,16 +44,29 @@ class ModelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class RegressionModel:
-    """Fitted polynomial surrogate.
+    """Fitted polynomial surrogate, kept as fitted.
 
-    ``coefficients`` are in original coordinates, laid out as
-    ``[b0]``, ``[b0, b1..bD]`` or ``[b0, b1..bD, g1..gD]`` depending on
-    ``kind``, on ``dimension`` coordinates.
+    ``beta`` are the ridge coefficients of ``kind``'s basis on coordinates
+    standardized as ``(x - center) / scale``. ``coefficients`` are the same
+    polynomial in original coordinates, laid out as ``[b0]``,
+    ``[b0, b1..bD]`` or ``[b0, b1..bD, g1..gD]`` depending on ``kind``, on
+    ``dimension`` coordinates. They are mapped on first read and then kept;
+    a mapping that is not finite raises ``ValueError`` at each read, so no
+    prediction or minimization reads one.
     """
 
     kind: ModelKind
-    coefficients: np.ndarray
-    dimension: int
+    beta: np.ndarray
+    center: np.ndarray
+    scale: np.ndarray
+
+    @property
+    def dimension(self):
+        return self.center.shape[0]
+
+    @functools.cached_property
+    def coefficients(self):
+        return _coefficients(self.kind, self.beta, self.center, self.scale)
 
 
 def select_kind(sample_count, d):
@@ -124,14 +139,15 @@ def fit(xs, ys, kind, lam):
     inverse of ``fit_rated``; forming ``A'A`` squares the condition number
     of ``A``. Where the factorization fails (a system the samples do not
     determine, as on a degenerate sample set at ``lam = 0``) the
-    coefficients come from ``_lstsq``.
+    coefficients come from ``_lstsq``. The model keeps them standardized;
+    its ``coefficients`` are mapped, and checked finite, on first read.
     """
     xs, ys = _checked(xs, ys, lam)
     a, center, scale = _design_matrix(xs, kind)
     inv = _factor_inv(a, lam)
     if inv is None:
-        return _model(_lstsq(a, ys, lam), kind, center, scale)
-    return _model(inv.T @ (inv @ (a.T @ ys)), kind, center, scale)
+        return RegressionModel(kind, _lstsq(a, ys, lam), center, scale)
+    return RegressionModel(kind, inv.T @ (inv @ (a.T @ ys)), center, scale)
 
 
 def fit_rated(xs, ys, kind, lam):
@@ -150,16 +166,18 @@ def fit_rated(xs, ys, kind, lam):
     them exactly backwards (-1). Fewer than three samples or constant
     ``ys`` give 0. A system the samples do not determine (the
     factorization fails, as on a degenerate sample set at ``lam = 0``) gives
-    the least-squares model ``fit`` gives there and fidelity 0.
+    the least-squares model ``fit`` gives there and fidelity 0. The model is
+    mapped to original coordinates on its first read, not here, so a caller
+    that discards it on its fidelity never maps it.
     """
     xs, ys = _checked(xs, ys, lam)
     a, center, scale = _design_matrix(xs, kind)
     inv = _factor_inv(a, lam)
     if inv is None:
-        return _model(_lstsq(a, ys, lam), kind, center, scale), 0.0
+        return RegressionModel(kind, _lstsq(a, ys, lam), center, scale), 0.0
     w = inv @ a.T
     wy = w @ ys
-    model = _model(inv.T @ wy, kind, center, scale)
+    model = RegressionModel(kind, inv.T @ wy, center, scale)
     n = ys.shape[0]
     if n < 3 or (ys == ys[0]).all():
         return model, 0.0
@@ -216,10 +234,9 @@ def _tril_inv(low):
     return out
 
 
-def _model(beta, kind, center, scale):
-    """The model of standardized-space coefficients ``beta``, mapped back
-    to original coordinates, written into one array in ``coefficients``'
-    layout."""
+def _coefficients(kind, beta, center, scale):
+    """Standardized-space coefficients ``beta`` mapped back to original
+    coordinates, written into one array in ``coefficients``' layout."""
     d = center.shape[0]
     if kind is ModelKind.CONSTANT:
         coef = beta.copy()
@@ -235,16 +252,18 @@ def _model(beta, kind, center, scale):
         coef[0] = beta[0] - np.dot(bl, center) + np.dot(quad, center * center)
     if not np.isfinite(coef).all():
         raise ValueError("regression produced non-finite coefficients")
-    return RegressionModel(kind, coef, d)
+    return coef
 
 
 def predict_many(model, xs):
-    """Vectorized prediction over rows of ``xs``."""
+    """Vectorized prediction over rows of ``xs``, from the model's
+    ``coefficients`` (mapped on the model's first read, which raises
+    ``ValueError`` if they are not finite)."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != model.dimension:
-        raise ValueError(f"expected shape (n, {model.dimension}), got {xs.shape}")
-    c = model.coefficients
     d = model.dimension
+    if xs.ndim != 2 or xs.shape[1] != d:
+        raise ValueError(f"expected shape (n, {d}), got {xs.shape}")
+    c = model.coefficients
     if model.kind is ModelKind.CONSTANT:
         return np.full(xs.shape[0], c[0])
     out = xs @ c[1 : d + 1] + c[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -271,6 +272,47 @@ class TestSurrogateGenerations:
         for k, (_, generations, calls) in enumerate(steps):
             assert generations == cases[k % len(cases)][1]
             assert calls == (generations > 0)  # one call per step that earns any
+
+    def test_a_model_is_mapped_only_where_a_step_earns_generations(self, monkeypatch):
+        # the initial design's fit is mapped for its minimizer; a step's model
+        # only by the surrogate generations it earns
+        steps = spy_on_steps(monkeypatch)
+        mapped, real = [], regression._coefficients
+
+        def mapping(*args):
+            mapped.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(regression, "_coefficients", mapping)
+        run(make_function("sphere"), NoiseModel(0.0, 1.0), DpseaParams(max_total_eval=9000),
+            RngState(1))
+        earned = sum(calls for _, _, calls in steps)
+        assert 0 < earned < len(steps)
+        assert len(mapped) == 1 + earned
+        assert set(mapped) == {ModelKind.DIAG_QUADRATIC}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("forced", [0.0, 1.0])
+    def test_an_unmappable_step_model_fails_only_when_read(self, monkeypatch, forced):
+        # every step's model overflows when mapped (scale 1e-200): a run whose
+        # steps earn no generations never reads one and finishes
+        real = regression.fit_rated
+
+        def unmappable(*args):
+            model, rho = real(*args)
+            return dataclasses.replace(model, scale=np.full_like(model.scale, 1e-200)), rho
+
+        monkeypatch.setattr(regression, "fit_rated", unmappable)
+        steps = spy_on_steps(monkeypatch, lambda k: forced)
+        params = small_params(max_total_eval=3000)
+        if forced == 0.0:
+            res = run(make_function("sphere"), NoiseModel(0.0, 0.5), params, RngState(3))
+            assert len(steps) == len(res.trace) > 5
+            assert not any(calls for _, _, calls in steps)
+        else:
+            with pytest.raises(ValueError, match="non-finite coefficients"):
+                run(make_function("sphere"), NoiseModel(0.0, 0.5), params, RngState(3))
+            assert len(steps) == 1
 
     def test_t_switch_bounded(self):
         with pytest.raises(ValueError, match="t_switch"):

@@ -11,9 +11,10 @@ values and says so.
 The budgets are small but one, so the module runs in a few seconds. Besides
 the defaults, the cases cover a skipped initial design (two budgets it does
 not fit in), rs = 3 and sigma = 0, two 50-D runs whose surrogate fits have 101
-columns (one of them fits the 4180-row initial design), and one noiseless
+columns (one of them fits the 4180-row initial design), one noiseless
 sphere run at the full 90k budget, whose long trace is pinned by its
-SHA-256.
+SHA-256, and two small-population sphere runs whose steps fit linear and
+constant models.
 """
 
 import dataclasses
@@ -43,6 +44,7 @@ class Golden:
     total_unchanged: int
     trace: list
     params: dict = field(default_factory=dict)
+    tag: str = ""  # tells apart cases that share function, dimension and seed
 
 
 def assert_matches(res, want):
@@ -57,7 +59,8 @@ def assert_matches(res, want):
 
 
 def case_id(g):
-    return f"{g.function}-{g.dimension}d-seed{g.seed}"
+    name = f"{g.function}-{g.dimension}d-seed{g.seed}"
+    return f"{name}-{g.tag}" if g.tag else name
 
 
 DPSEA_GOLDEN = [
@@ -411,6 +414,41 @@ DPSEA_GOLDEN = [
         total_eval=89970,
         total_unchanged=9926,
         trace='2d9148f37a6180890acba2b1930d95db947510f56e2975d114c66f820d6efc21',
+    ),
+    # the two bases below the diagonal quadratic, each fitted at every step
+    # and mapped to original coordinates only where the step earns surrogate
+    # generations: a linear model (11 samples on 5-D) where 49 of 147 steps
+    # earn some, and a constant one (5 samples), whose fidelity earns none in
+    # 376 steps; both traces pinned by their SHA-256
+    Golden(
+        function='sphere', dimension=5, sigma=0.5, rs=1, budget=2000, seed=11,
+        params=dict(ga=GaParams(pop_size=6, n_elites=1)), tag='linear',
+        best_fitness=1.5657322890387197e-07,
+        best_genome=[
+            0.00034695294877224125,
+            -0.00011394756539719743,
+            0.00010679871694146545,
+            0.0001085698534708541,
+            -4.41061890712784e-06,
+        ],
+        total_eval=1997,
+        total_unchanged=269,
+        trace='ad85a4da33b318d25bd111b205bbea01e0d4bef768d7d1005bce88906fd2f170',
+    ),
+    Golden(
+        function='sphere', dimension=5, sigma=0.5, rs=1, budget=2000, seed=11,
+        params=dict(ga=GaParams(pop_size=3, n_elites=1)), tag='constant',
+        best_fitness=3.5208986107040183e-07,
+        best_genome=[
+            7.575381281734433e-05,
+            -0.00016144346023935546,
+            0.00024831088443338256,
+            -0.0001383969435795593,
+            -0.0004893620548629898,
+        ],
+        total_eval=2000,
+        total_unchanged=751,
+        trace='9317443a19a040049e23059c86e5dc5316a8a5151c4c0ebdea564f37f394f9be',
     ),
 ]
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from dpsea import regression
 from dpsea.benchmarks import evaluate_many, make_function
 from dpsea.regression import (
     ModelKind,
     RegressionModel,
+    _coefficients,
     _design_matrix,
-    _model,
     _tril_inv,
     fit,
     fit_rated,
@@ -79,7 +80,7 @@ def reference_fit_rated(xs, ys, kind, lam):
     inv = np.linalg.inv(np.linalg.cholesky(a.T @ a + np.diag(pen)))
     w = inv @ a.T
     wy = w @ ys
-    coef = _model(inv.T @ wy, kind, center, scale).coefficients
+    coef = _coefficients(kind, inv.T @ wy, center, scale)
     n = ys.shape[0]
     leverage = np.einsum("ij,ij->j", w, w)
     loo = ys - (ys - w.T @ wy) / np.maximum(1.0 - leverage, 1e-12)
@@ -256,7 +257,8 @@ class TestShrinkage:
 
 class TestMinimize:
     def _model(self, kind, coef, d):
-        return RegressionModel(kind, np.asarray(coef, float), d)
+        # center 0 and scale 1 map the given coefficients to themselves
+        return RegressionModel(kind, np.asarray(coef, float), np.zeros(d), np.ones(d))
 
     def test_convex_vertex_and_clipping(self):
         # 1 + (x0 - 2)^2 + (x1 + 7)^2 on [-5, 5]^2: vertex 2, clipped -5
@@ -290,6 +292,51 @@ class TestMinimize:
         xs = rng.uniform(-100, 100, (40, 5))
         m = fit(xs, np.sum(xs * xs, axis=1), ModelKind.DIAG_QUADRATIC, lam=0.0)
         assert np.allclose(minimize(m, -100.0, 100.0), 0.0, atol=1e-8)
+
+
+def unmappable_model(d=2):
+    """A diagonal-quadratic model whose quadratic coefficients overflow when
+    mapped to original coordinates: ``beta / scale**2`` at scale 1e-200."""
+    return RegressionModel(ModelKind.DIAG_QUADRATIC, np.ones(2 * d + 1),
+                           np.zeros(d), np.full(d, 1e-200))
+
+
+class TestLazyMapping:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_unmappable_model_builds_and_raises_at_each_read(self):
+        m = unmappable_model()  # building it maps nothing
+        reads = (lambda: m.coefficients, lambda: predict_many(m, np.zeros((3, 2))),
+                 lambda: minimize(m, -1.0, 1.0))
+        for read in reads * 2:  # a failed mapping is not kept
+            with pytest.raises(ValueError, match="non-finite coefficients"):
+                read()
+
+    def test_mapped_once_then_kept(self, monkeypatch):
+        calls = []
+        real = regression._coefficients
+
+        def spy(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(regression, "_coefficients", spy)
+        rng = np.random.default_rng(4)
+        xs = rng.uniform(-3, 3, (30, 4))
+        model, _ = fit_rated(xs, np.sum(xs * xs, axis=1), ModelKind.DIAG_QUADRATIC, 1e-6)
+        assert calls == []  # the fit maps nothing
+        first = model.coefficients
+        predict_many(model, xs)
+        minimize(model, -3.0, 3.0)
+        assert model.coefficients is first
+        assert calls == [ModelKind.DIAG_QUADRATIC]
+
+    def test_dimension_and_standardization_are_the_fit_s(self):
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(-3, 3, (12, 3))
+        model = fit(xs, xs[:, 0], ModelKind.LINEAR, 0.0)
+        _, center, scale = _design_matrix(xs, ModelKind.LINEAR)
+        assert model.dimension == 3 and model.beta.shape == (4,)
+        assert np.array_equal(model.center, center) and np.array_equal(model.scale, scale)
 
 
 class TestFitRated:

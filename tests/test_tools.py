@@ -162,6 +162,27 @@ class TestDigests:
         # and one case fits a 50-D design: 4180 rows, 101 columns
         assert 50 in fitted
 
+    def test_quick_mode_fits_every_step_model_kind(self, monkeypatch):
+        # the defaults fit diagonal quadratics; two small populations fit the
+        # linear and constant bases, set through the config's dpsea block
+        from dpsea import regression
+
+        digests = load_tool("digests")
+        real, kinds = regression.fit_rated, set()
+
+        def fit_rated(xs, ys, kind, lam):
+            kinds.add(kind)
+            return real(xs, ys, kind, lam)
+
+        monkeypatch.setattr(regression, "fit_rated", fit_rated)
+        picked = {c["name"].split("-")[5]: c for c in digests.cases(full=False)
+                  if c.get("params")}  # run-directory cases have no params key
+        assert sorted(picked) == ["constant", "linear"]
+        for tag, c in picked.items():
+            kinds.clear()
+            assert digests.run_case(c).trace
+            assert kinds == {regression.ModelKind[tag.upper()]}
+
     def test_quick_mode_re_noises_known_true_fitness_at_rs_above_one(self, monkeypatch):
         # the quick case whose steps without surrogate generations re-noise
         # the main generation's offspring, rs times each

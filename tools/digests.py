@@ -11,15 +11,17 @@ it writes: the runs file without ``wall_ms``, the summary file and the bytes
 of config.json. Prints one line per case that differs and a count, and
 exits 1 if any case differs.
 
-``--quick`` (a few seconds per side) runs 18 DPSEA cases: the defaults on
+``--quick`` (a few seconds per side) runs 20 DPSEA cases: the defaults on
 5-D versions of the four functions at sigma 0, 0.5 and 1, one case per
 function at rs = 5 whose budget does not fit the initial design (the
 functions' own dimensions, 10k evaluations, 2.9k on sphere), one 50-D
-rastrigin1 run at 6k whose budget fits it (a 4180 x 101 fit) and one 5-D
+rastrigin1 run at 6k whose budget fits it (a 4180 x 101 fit), one 5-D
 sphere run at sigma 1, rs = 3 and 9k whose steps without surrogate
-generations re-noise known true fitness, plus small cGA, DE and PSO runs, and four run directories: ``dpsea run`` of DPSEA and
-cGA on 5-D griewank over sigma 0, 0.5 x rs 1, 5, in csv and in json. The
-full mode adds the 20 noiseless sphere 90k runs
+generations re-noise known true fitness, and two 5-D sphere runs at 2k
+whose populations of 6 and 3 fit linear and constant step models. It adds
+small cGA, DE and PSO runs, and four run directories: ``dpsea run`` of
+DPSEA and cGA on 5-D griewank over sigma 0, 0.5 x rs 1, 5, in csv and in
+json. The full mode adds the 20 noiseless sphere 90k runs
 of acceptance criterion 1 and the 30 sigma-1 sphere 90k runs of criterion
 2, where estimates near 1e-20 decide orderings; it took 75 s on a 2-core
 box.
@@ -47,13 +49,15 @@ FUNCTIONS = ("sphere", "griewank", "rastrigin1", "rosenbrock")
 SIGMAS = (0.0, 0.5, 1.0)
 
 
-def case(algo, function, sigma, budget, seed, *, dimension=5, rs=1, tag="default"):
-    """One run; ``dimension=None`` is the function's own."""
+def case(algo, function, sigma, budget, seed, *, dimension=5, rs=1, tag="default",
+         params=None):
+    """One run; ``dimension=None`` is the function's own, and ``params`` is
+    the algo's block of ``ExperimentConfig.params``."""
     dim = f"{dimension}d" if dimension else "owndim"
     name = f"{algo}-{function}-{dim}-sigma{sigma}-rs{rs}-{tag}-seed{seed}"
     return {"name": name, "algo": algo, "function": function,
             "dimension": dimension, "sigma": sigma, "rs": rs, "budget": budget,
-            "seed": seed}
+            "seed": seed, "params": params or {}}
 
 
 def run_dir_case(algo, fmt):
@@ -74,6 +78,10 @@ def cases(full):
             for j, (function, budget) in enumerate(DESIGN_SKIPPED_BUDGETS.items())]
     out.append(case("dpsea", "rastrigin1", 0.5, 6000, 60, dimension=None, tag="design"))
     out.append(case("dpsea", "sphere", 1.0, 9000, 70, rs=3, tag="reuse"))
+    # populations of 6 and 3 fit linear and constant step models
+    out += [case("dpsea", "sphere", 0.5, 2000, 11, tag=kind,
+                 params={"pop_size": pop_size, "n_elites": 1})
+            for kind, pop_size in (("linear", 6), ("constant", 3))]
     out += [
         case("cga", "griewank", 0.5, 5000, 1),
         case("cga", "sphere", 1.0, 5000, 2, rs=3),
@@ -96,7 +104,8 @@ def run_case(c):
 
     cfg = harness.ExperimentConfig(
         function=c["function"], dimension=c["dimension"], sigmas=(c["sigma"],),
-        algo=c["algo"], rs_list=(c["rs"],), repeats=1, total_eval=c["budget"])
+        algo=c["algo"], rs_list=(c["rs"],), repeats=1, total_eval=c["budget"],
+        params={c["algo"]: c["params"]})
     return harness.run_single(cfg, c["sigma"], c["rs"], c["seed"])[1]
 
 
