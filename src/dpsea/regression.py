@@ -42,7 +42,7 @@ class ModelKind(enum.Enum):
     DIAG_QUADRATIC = "diag_quadratic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionModel:
     """Fitted polynomial surrogate, kept as fitted.
 

@@ -107,7 +107,7 @@ class Budget:
                                       self.best_fitness, **counts))
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     """Best-ever solution of a run, scored by the true (noiseless) fitness."""
 

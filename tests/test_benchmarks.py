@@ -4,6 +4,7 @@ import pytest
 from dpsea.benchmarks import (
     FUNCTION_IDS,
     SIGMA_MAX,
+    BenchmarkFunction,
     NoiseModel,
     evaluate,
     evaluate_many,
@@ -155,6 +156,34 @@ class TestOptimum:
             fn = make_function(name)
             xs = rng.uniform(fn.lower_bound, fn.upper_bound, (5_000, fn.dimension))
             assert np.all(evaluate_many(fn, xs) >= 0.0)
+
+    @staticmethod
+    def closed_form_minimum(fn):
+        """The minima as they were written by hand before ``optimum``
+        evaluated the minimizer."""
+        if fn.name == "rastrigin1":
+            return float(fn.rastrigin_constant - 10.0 * fn.dimension)
+        return 0.0
+
+    @pytest.mark.parametrize("name", FUNCTION_IDS)
+    def test_minimum_is_the_closed_form_bit_for_bit(self, name):
+        consts = ([None, 0, 200, -3.7, 1e16, -1e16, SIGMA_MAX, -SIGMA_MAX]
+                  if name == "rastrigin1" else [None])
+        for dim in [*range(1, 61), 100, 1000]:
+            for const in consts:
+                fn = make_function(name, dimension=dim, rastrigin_constant=const)
+                got, want = optimum(fn)[1], self.closed_form_minimum(fn)
+                assert type(got) is float and got == want, (dim, const)
+                assert np.signbit(got) == np.signbit(want), (dim, const)
+
+    def test_unknown_function_rejected(self):
+        with pytest.raises(ValueError, match="unknown function id 'ackley'"):
+            optimum(BenchmarkFunction("ackley", 5, -1.0, 1.0))
+
+    def test_bounds_excluding_the_minimizer_rejected(self):
+        fn = BenchmarkFunction("griewank", 5, -600.0, 99.0)
+        with pytest.raises(ValueError, match="outside function bounds"):
+            optimum(fn)
 
 
 class TestNoisyEvaluate:

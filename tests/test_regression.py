@@ -338,6 +338,14 @@ class TestLazyMapping:
         assert model.dimension == 3 and model.beta.shape == (4,)
         assert np.array_equal(model.center, center) and np.array_equal(model.scale, scale)
 
+    def test_models_compare_and_hash_by_identity(self):
+        rng = np.random.default_rng(6)
+        xs = rng.uniform(-3, 3, (20, 2))
+        a, b = (fit(xs, xs[:, 0], ModelKind.LINEAR, 0.0) for _ in range(2))
+        assert a == a and hash(a) == hash(a)
+        assert a != b and not (a == b)  # equal arrays, distinct fits
+        assert len({a, b}) == 2
+
 
 class TestFitRated:
     def test_matches_oracle_on_criterion_5_cases(self):

@@ -105,6 +105,17 @@ class TestBudget:
         assert res.trace is b.trace and res.budget is b
         assert res.best_fitness == 2.0 and res.best_genome is b.best_genome
 
+    def test_run_results_compare_and_hash_by_identity(self):
+        fn = make_function("sphere")
+        a, b = (engine.run(fn, NoiseModel(0.0, 0.5), engine.DpseaParams(max_total_eval=600),
+                           RngState(3)) for _ in range(2))
+        assert a.best_fitness == b.best_fitness  # one seed, one run
+        assert a == a and hash(a) == hash(a)
+        assert a != b and not (a == b)
+        assert len({a, b}) == 2
+        # the budget keeps its accounting-only equality
+        assert a.budget == b.budget and a.budget is not b.budget
+
 
 class TestResampledFitness:
     def test_sigma_zero_is_exact_and_charges_rs(self):

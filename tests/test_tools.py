@@ -4,6 +4,7 @@ import math
 import shutil
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -231,8 +232,8 @@ class TestQuality:
         """Exit code and output of one 8-seed cell whose change gaps are the
         parent's plus ``shift``."""
         quality = load_tool("quality")
-        monkeypatch.setattr(quality, "side_gaps", lambda root, specs, side: [
-            k + (shift if side == "change" else 0.0) for k in range(len(specs))])
+        monkeypatch.setattr(quality, "side_outcomes", lambda root, specs, side: [
+            (k + (shift if side == "change" else 0.0), False) for k in range(len(specs))])
         code = quality.main(["--parent", str(self.ROOT), "--change", str(self.ROOT),
                              "--seeds", "8", "--functions", "sphere", "--sigmas", "0"])
         return code, capsys.readouterr().out
@@ -248,6 +249,20 @@ class TestQuality:
         assert code == 1
         assert out.splitlines()[1].endswith("  worse")
         assert "1 of 1 cells worse and 0 better" in out
+
+    def test_a_run_s_success_is_the_harness_s(self, monkeypatch):
+        from dpsea import harness
+
+        quality = load_tool("quality")
+        seen = []
+        monkeypatch.setattr(harness, "_success", lambda *args: seen.append(args) or True)
+        monkeypatch.setattr(quality, "run_case", lambda spec: SimpleNamespace(best_fitness=0.25))
+        spec, = quality.runs(["sphere"], [0.0], 1, quick=True)
+        assert quality.outcome(spec) == (0.25, True)
+        assert seen == [(0.25, 0.0, harness.DEFAULT_EPSILON["sphere"])]
+        # a side counts the success flags, not gaps at most epsilon
+        described = quality.describe([(0.25, True), (0.0, False), (1.0, True)])
+        assert described["successes"] == 2 and described["gaps"] == [0.25, 0.0, 1.0]
 
     def test_mann_whitney_hand_case(self):
         # pooled 1 | 2 2 2 | 3 4 5 has ranks 1 | 3 3 3 | 5 6 7, so x = (1, 2, 2)

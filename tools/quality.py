@@ -15,11 +15,12 @@ base 0 the sigma-0 reps 0-2 are acceptance criterion 8's runs. The budget
 is the published ``TABLE_BUDGETS["dpsea"]``; ``--quick`` runs 45k
 evaluations, 90k on sphere.
 
-Per cell and side it reports the count of runs with best - optimum at most
-``DEFAULT_EPSILON``, and the quartiles of best - optimum; per cell, how
-many seeds end at a bit-identical gap on both sides (a cell the initial
-design settles shows no change to the loop), and the change's Mann-Whitney
-U against the parent with its two-sided p-value. A cell with p below 0.05
+Per cell and side it reports the count of successes, as ``dpsea success``
+counts them (``harness._success`` at ``DEFAULT_EPSILON``), and the
+quartiles of best - optimum; per cell, how many seeds end at a
+bit-identical gap on both sides (a cell the initial design settles shows
+no change to the loop), and the change's Mann-Whitney U against the
+parent with its two-sided p-value. A cell with p below 0.05
 divided by the cell count is worse when U is above ``n1 * n2 / 2`` (the
 change's gaps tend larger), better otherwise; both are marked, and the
 tool exits 1 only if a cell is worse. ``--out`` gets every gap, the tables
@@ -75,25 +76,30 @@ def mann_whitney(x, y):
 
 
 def runs(functions, sigmas, seeds, quick, base_seed=0):
-    """One ``digests.case`` per run, cell by cell, reps in order."""
+    """One ``digests.case`` per run, cell by cell, reps in order, each with
+    its function's ``DEFAULT_EPSILON`` as ``epsilon``."""
     from dpsea import harness
 
-    return [case("dpsea", function, sigma,
-                 (QUICK_BUDGETS if quick else harness.TABLE_BUDGETS["dpsea"])[function],
-                 harness.derive_seed(base_seed, harness.SIGMA_SWEEP.index(sigma), 0, rep),
-                 dimension=None)
+    return [dict(case("dpsea", function, sigma,
+                      (QUICK_BUDGETS if quick else harness.TABLE_BUDGETS["dpsea"])[function],
+                      harness.derive_seed(base_seed, harness.SIGMA_SWEEP.index(sigma), 0, rep),
+                      dimension=None), epsilon=harness.DEFAULT_EPSILON[function])
             for function in functions for sigma in sigmas for rep in range(seeds)]
 
 
-def gap(spec):
-    """Best - optimum of one DPSEA run, from whichever ``dpsea`` is imported."""
+def outcome(spec):
+    """Best - optimum of one DPSEA run and whether ``harness._success``
+    counts it at ``spec["epsilon"]``, from whichever ``dpsea`` is imported."""
+    from dpsea import harness
     from dpsea.benchmarks import make_function, optimum
 
-    return run_case(spec).best_fitness - optimum(make_function(spec["function"]))[1]
+    best = run_case(spec).best_fitness
+    opt = optimum(make_function(spec["function"]))[1]
+    return best - opt, harness._success(best, opt, spec["epsilon"])
 
 
 def worker():
-    """Gaps of the runs read as JSON from stdin, printed as JSON in order."""
+    """Outcomes of the runs read as JSON from stdin, printed as JSON in order."""
     import dpsea
     from dpsea import harness
 
@@ -102,28 +108,30 @@ def worker():
     if workers > 0:
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            gaps = list(pool.map(gap, specs))
+            outcomes = list(pool.map(outcome, specs))
     else:
-        gaps = [gap(s) for s in specs]
-    print(json.dumps({"dpsea": dpsea.__file__, "gaps": gaps}))
+        outcomes = [outcome(s) for s in specs]
+    print(json.dumps({"dpsea": dpsea.__file__, "outcomes": outcomes}))
 
 
-def side_gaps(root, specs, side):
-    """The gaps of ``specs`` run by ``root``'s ``src`` in a fresh process."""
+def side_outcomes(root, specs, side):
+    """The ``(gap, success)`` pairs of ``specs`` run by ``root``'s ``src``
+    in a fresh process."""
     proc, src = start(root, __file__)
-    return collect(proc, src, specs, side)["gaps"]
+    return collect(proc, src, specs, side)["outcomes"]
 
 
-def describe(gaps, epsilon):
+def describe(outcomes):
+    gaps = [g for g, _ in outcomes]
     q1, median, q3 = statistics.quantiles(gaps, n=4, method="inclusive")
-    return {"successes": sum(g <= epsilon for g in gaps), "q1": q1,
+    return {"successes": sum(ok for _, ok in outcomes), "q1": q1,
             "median": median, "q3": q3, "gaps": gaps}
 
 
-def cells(specs, gaps, epsilon):
+def cells(specs, outcomes):
     """Per (function, sigma): each side's summary, U and p."""
     grouped = {}
-    for spec, parent, change in zip(specs, gaps["parent"], gaps["change"]):
+    for spec, parent, change in zip(specs, outcomes["parent"], outcomes["change"]):
         key = (spec["function"], spec["sigma"])
         cell = grouped.setdefault(key, {"budget": spec["budget"], "parent": [],
                                         "change": []})
@@ -131,11 +139,11 @@ def cells(specs, gaps, epsilon):
         cell["change"].append(change)
     out = []
     for (function, sigma), cell in grouped.items():
-        u, p = mann_whitney(cell["change"], cell["parent"])
+        parent, change = describe(cell["parent"]), describe(cell["change"])
+        u, p = mann_whitney(change["gaps"], parent["gaps"])
         out.append({"function": function, "sigma": sigma, "budget": cell["budget"],
-                    "parent": describe(cell["parent"], epsilon[function]),
-                    "change": describe(cell["change"], epsilon[function]),
-                    "identical": sum(a == b for a, b in zip(cell["parent"], cell["change"])),
+                    "parent": parent, "change": change,
+                    "identical": sum(a == b for a, b in zip(parent["gaps"], change["gaps"])),
                     "u": u, "p": p})
     return out
 
@@ -204,15 +212,15 @@ def main(argv=None):
         parser.error("need --seeds >= 2, known --functions and --sigmas "
                      f"from {harness.SIGMA_SWEEP}")
     specs = runs(functions, sigmas, args.seeds, args.quick, args.base_seed)
-    gaps = {side: side_gaps(root, specs, side)
-            for side, root in (("parent", args.parent), ("change", args.change))}
-    rows = cells(specs, gaps, harness.DEFAULT_EPSILON)
+    outcomes = {side: side_outcomes(root, specs, side)
+                for side, root in (("parent", args.parent), ("change", args.change))}
+    rows = cells(specs, outcomes)
     alpha = LEVEL / len(rows)
     verdicts = [verdict(r, alpha) for r in rows]
     print(table(rows, alpha))
     print(f"{verdicts.count('worse')} of {len(rows)} cells worse and "
           f"{verdicts.count('better')} better with p < {alpha:.3g} (ok: parent:change "
-          f"runs within DEFAULT_EPSILON of the optimum; same: seeds with an "
+          f"successes at DEFAULT_EPSILON; same: seeds with an "
           f"identical gap)")
     if args.out:
         args.out.write_text(json.dumps(
